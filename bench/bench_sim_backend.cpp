@@ -1,10 +1,10 @@
 // Throughput bench of the simulated backend's fast path: runs the same
-// cold-cache exploration twice — once with steady-state extrapolation and
-// warm-invoke memoization (the default), once with `--sim-exact` full
-// cycle simulation — and reports wall-clock seconds, variants/second, the
-// speedup, and whether the two runs were bit-identical (they must be; the
-// fast path is an exactness-preserving optimization, see DESIGN.md
-// "Steady-state model").
+// cold-cache exploration twice — once with warm-invoke memoization (the
+// default), once with `--sim-exact` full cycle simulation — and reports
+// wall-clock seconds, variants/second, the speedup, and whether the two
+// runs were bit-identical (they must be; the fast path is an
+// exactness-preserving optimization, see DESIGN.md "Warm-invoke
+// memoization").
 //
 // Emits BENCH_sim_backend.json next to the working directory for CI's
 // regression gate, and exits non-zero if bit-identity is violated.
@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   options.useCache = false;  // cold end-to-end cost is what we measure
 
   bench::header("sim backend throughput (fast vs --sim-exact)", options.arch,
-                "steady-state extrapolation + warm-invoke memoization give a "
-                ">= 10x cold-cache speedup with bit-identical results");
+                "warm-invoke memoization gives a >= 10x cold-cache speedup "
+                "with bit-identical results");
 
   launcher::ExploreResult fast, exact;
   options.simExact = false;

@@ -220,10 +220,7 @@ ExploreResult runExplore(const ExploreOptions& options,
     sim::MachineConfig config = archByName(options.arch).config;
     if (options.coreGHz) config.coreGHz = *options.coreGHz;
     SimBackendOptions simOptions;
-    if (options.simExact) {
-      simOptions.steadyState = false;
-      simOptions.memoize = false;
-    }
+    simOptions.memoize = !options.simExact;
     factory = [config, simOptions](int) {
       return std::make_unique<SimBackend>(config, simOptions);
     };

@@ -62,9 +62,9 @@ struct ExploreOptions {
   CampaignOptions campaign;  ///< jobs/protocol/adaptive/timeout knobs
 
   /// Escape hatch (`--sim-exact`): force the simulator backend to cycle-
-  /// simulate every invoke — no steady-state extrapolation, no warm-invoke
-  /// memoization. Results are bit-identical to the default fast path; this
-  /// exists to prove that, and to debug the fast path when it isn't.
+  /// simulate every invoke — no warm-invoke memoization. Results are
+  /// bit-identical to the default fast path; this exists to prove that, and
+  /// to debug the fast path when it isn't.
   bool simExact = false;
 
   /// Static cost-model integration (`--no-predict` turns it off). When on,

@@ -171,11 +171,6 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
 
   std::vector<std::uint64_t> addrs = planAddresses(request, 0);
   sim::CoreSim core(config_, *memsys_, request.core);
-  if (options_.steadyState) {
-    sim::SteadyStateOptions ss;
-    ss.enabled = true;
-    core.setSteadyState(ss);
-  }
   std::uint64_t preClock = clock_;
   sim::RunResult r = core.run(*handle.program, request.n, addrs, clock_);
   clock_ += r.coreCycles + static_cast<std::uint64_t>(kCallOverhead);

@@ -12,12 +12,14 @@
 
 namespace microtools::launcher {
 
-/// Performance knobs of the simulated backend. Both default on; the
-/// `--sim-exact` escape hatch turns them off to force full cycle-by-cycle
-/// simulation of every invoke. Results are bit-identical either way — the
-/// options only trade simulation time (see DESIGN.md "Steady-state model").
+/// Performance knobs of the simulated backend. The `--sim-exact` escape
+/// hatch turns the memo off to force full cycle-by-cycle simulation of
+/// every invoke. Results are bit-identical either way — the option only
+/// trades simulation time (see DESIGN.md "Warm-invoke memoization").
 struct SimBackendOptions {
-  /// In-loop steady-state extrapolation inside CoreSim.
+  /// Ignored. It once switched an in-loop steady-state extrapolation inside
+  /// CoreSim, which was removed because it paid on no benchmarked workload;
+  /// the field stays only so existing callers that still assign it compile.
   bool steadyState = true;
 
   /// Warm-invoke memoization: every simulated invoke is recorded together

@@ -11,26 +11,6 @@
 
 namespace microtools::sim {
 
-/// Knobs of the steady-state loop extrapolation (DESIGN.md "Steady-state
-/// model"). Off by default: only the single-core launcher path opts in,
-/// because lockstep multi-core runs share one MemorySystem and must tick
-/// every cycle.
-struct SteadyStateOptions {
-  bool enabled = false;
-
-  /// Same-phase loop-boundary confirmations required before the per-period
-  /// state delta counts as established.
-  int confirmPeriods = 6;
-
-  /// Smallest number of iterations worth skipping; below this the loop is
-  /// nearly done and detection shuts off to keep the hot path clean.
-  std::uint64_t minSkipIterations = 64;
-
-  /// Budget for the L1-residency precheck of the skipped address stream;
-  /// exceeding it bails (never extrapolates) rather than scanning forever.
-  std::uint64_t maxPrecheckLines = 1ull << 22;
-};
-
 /// Outcome of one simulated kernel invocation.
 struct RunResult {
   std::uint64_t coreCycles = 0;    ///< wall time in core-clock cycles
@@ -38,14 +18,6 @@ struct RunResult {
   std::uint64_t uops = 0;          ///< dynamic uop count
   std::uint64_t iterations = 0;    ///< %eax at ret (§4.4 contract)
   double tscCycles = 0.0;          ///< invariant-TSC cycles (what rdtsc sees)
-
-  /// Audit trail of the steady-state extrapolation: 0 when every iteration
-  /// was cycle-simulated; otherwise the loop iteration at which the
-  /// simulator proved periodicity and analytically skipped
-  /// `extrapolatedIterations` iterations (the tail after the skip is again
-  /// cycle-simulated).
-  std::uint64_t extrapolatedFrom = 0;
-  std::uint64_t extrapolatedIterations = 0;
 
   /// Estimated energy of the run (§7's "power utilization" output):
   /// dynamic uop + cache/DRAM access energies plus static leakage over the
@@ -108,10 +80,6 @@ class CoreSim {
   /// is written to the stream (debugging aid, also exercised by tests).
   void setTrace(std::FILE* stream) { trace_ = stream; }
 
-  /// Enables/configures steady-state loop extrapolation for subsequent
-  /// runs. Takes effect at the next start().
-  void setSteadyState(const SteadyStateOptions& opts) { ss_ = opts; }
-
  private:
   // Register-file ids: 0-15 GPR, 16-31 XMM, 32 flags.
   static constexpr int kNumRegs = 33;
@@ -161,70 +129,6 @@ class CoreSim {
   void addDep(Uop& uop, int reg) const;
   void noteWrite(int reg, std::uint64_t producerId);
   std::uint64_t pushUop(Uop uop);
-
-  // -- steady-state extrapolation (see DESIGN.md) ----------------------------
-  /// One loop-boundary snapshot, taken right after a backward-taken branch
-  /// dispatches. Slots are grouped by the invariant they must satisfy for
-  /// the loop to count as steady:
-  ///  - shape:  equal at lag p (ROB structure, pc, non-L1 counters),
-  ///  - arch:   constant first difference at lag 1 (registers, flags,
-  ///            retired-work counters — the slots the exit solve reads),
-  ///  - timing: constant first difference at lag p (cycle clock, port and
-  ///            fill-buffer busy times, ROB addresses/completions, the
-  ///            recent-store ring, whose natural period is 16/stores-per-
-  ///            iteration rather than 1).
-  struct SsBoundary {
-    std::vector<std::uint64_t> shape;
-    std::vector<std::uint64_t> arch;
-    std::vector<std::uint64_t> timing;
-  };
-  struct SsMemOp {
-    std::size_t pc = 0;
-    std::uint64_t addr = 0;    // address at the first post-boundary iteration
-    std::int64_t stride = 0;   // per-iteration address delta
-    int bytes = 0;
-    bool isStore = false;
-  };
-  /// One recorded L1 access (issue order), for LRU replay of skipped
-  /// iterations: the skipped accesses can never miss, but the order in
-  /// which they refresh recency determines the final LRU state.
-  struct SsAccess {
-    std::uint64_t addr = 0;
-    int bytes = 0;
-  };
-
-  void ssOnBoundary(std::uint64_t cycle);
-  SsBoundary ssCapture(std::uint64_t cycle);
-  template <typename Fn>
-  void ssVisitArch(Fn&& fn);
-  template <typename Fn>
-  void ssVisitTiming(Fn&& fn);
-  bool ssConfirm(int period) const;
-  void ssTryExtrapolate(std::uint64_t cycle, int period);
-  bool ssCollectMemOps(std::vector<SsMemOp>& ops);
-  bool ssCheckAliasing(const std::vector<SsMemOp>& ops,
-                       std::uint64_t perIterCycles, std::uint64_t now,
-                       std::uint64_t windowCycles) const;
-  bool ssPrecheckL1(const std::vector<SsMemOp>& ops,
-                    std::uint64_t skip) const;
-
-  SteadyStateOptions ss_;
-  bool ssDisabled_ = false;
-  std::deque<SsBoundary> ssHistory_;
-  /// Issue-order access log, one window per captured boundary, aligned
-  /// with ssHistory_. Recording starts one boundary before capture does,
-  /// so every logged window is complete.
-  bool ssRecording_ = false;
-  std::vector<SsAccess> ssCurWindow_;
-  std::deque<std::vector<SsAccess>> ssAccessLog_;
-  std::size_t ssBranchPc_ = ~std::size_t{0};
-  std::size_t ssTargetPc_ = ~std::size_t{0};
-  std::uint64_t ssIterations_ = 0;  // backward-taken branches seen this run
-  std::uint64_t ssLevelMark_[5] = {0, 0, 0, 0, 0};
-  int ssCleanStreak_ = 0;  // consecutive all-L1 boundaries
-  bool ssBoundaryPending_ = false;
-  std::uint64_t extrapolatedFrom_ = 0;
-  std::uint64_t extrapolatedIterations_ = 0;
 
   const MachineConfig& config_;
   MemorySystem& memsys_;

@@ -296,16 +296,6 @@ void MemorySystem::creditReplayedAccesses(const std::uint64_t levelDeltas[5],
   prefetches_ += prefetchDelta;
 }
 
-bool MemorySystem::refreshL1(int coreId, std::uint64_t addr, int bytes) {
-  CorePrivate& core = cores_[static_cast<std::size_t>(coreId)];
-  std::uint64_t firstLine = lineOf(addr);
-  std::uint64_t lastLine =
-      lineOf(addr + static_cast<std::uint64_t>(bytes) - 1);
-  bool ok = core.l1.lookup(firstLine);
-  if (lastLine != firstLine) ok = core.l1.lookup(lastLine) && ok;
-  return ok;
-}
-
 void MemorySystem::translateInFlight(std::uint64_t delta) {
   for (CorePrivate& core : cores_) {
     core.l2PortFree += delta;

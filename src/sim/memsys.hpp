@@ -75,21 +75,11 @@ class MemorySystem {
   /// they never influence timing.
   std::uint64_t stateFingerprint(std::uint64_t clock) const;
 
-  /// Credits `count` L1 demand hits to the statistics without simulating
-  /// them — used when CoreSim extrapolates a steady-state loop tail (the
-  /// skipped accesses are proven L1 hits) and when SimBackend replays a
-  /// memoized invoke, so counters track full simulation exactly.
+  /// Adds per-level demand-access and prefetch counts to the statistics
+  /// without simulating them — used when SimBackend replays a memoized
+  /// invoke, so counters track full simulation exactly.
   void creditReplayedAccesses(const std::uint64_t levelDeltas[5],
                               std::uint64_t prefetchDelta);
-
-  /// Replays the L1 recency effect of a demand access that is known to hit
-  /// L1: the covered line(s) get their LRU position refreshed exactly as
-  /// the real access would have done, with no time charged. Steady-state
-  /// extrapolation uses this for the skipped iterations' accesses — they
-  /// can never miss (proven beforehand), but their ordering determines the
-  /// final LRU state, which later invokes in a warm protocol observe.
-  /// Returns false if a covered line was absent (caller bug).
-  bool refreshL1(int coreId, std::uint64_t addr, int bytes);
 
   /// Shifts every pending busy-time and fill arrival forward by `delta`
   /// cycles. Used when a memoized invoke is replayed: the global clock

@@ -144,8 +144,8 @@ cli::Parser makeExploreParser() {
                    ".microtools-cache");
   parser.addFlag("no-cache", "Disable the measurement cache");
   parser.addFlag("sim-exact",
-                 "Force full cycle simulation (no steady-state extrapolation "
-                 "or warm-invoke memoization); bit-identical, only slower");
+                 "Force full cycle simulation of every invoke (no "
+                 "warm-invoke memoization); bit-identical, only slower");
   parser.addString("verify",
                    "Static pre-flight verification of generated variants — "
                    "strict skips variants with error-level diagnostics "

@@ -233,7 +233,7 @@ TEST(Stability, ParseFailureScoresZero) {
 
 // For every variant of every example description, the predicted
 // cycles/iteration must lower-bound what the exact simulator measures.
-// --sim-exact cycle-simulates every invoke (no steady-state extrapolation),
+// --sim-exact cycle-simulates every invoke (no warm-invoke memoization),
 // so the measured minimum is the true simulated cost including pipeline
 // fill — anything the static model misses (ROB stalls, mispredicts, cache
 // effects) only ADDS cycles on top of the bound.

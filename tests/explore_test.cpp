@@ -28,6 +28,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using testing::figure6Xml;
+using testing::uniqueTempDir;
 
 /// Per-factory invocation counters shared by every backend it builds.
 struct BackendCounters {
@@ -77,12 +78,6 @@ class CountingBackend final : public Backend {
   std::shared_ptr<BackendCounters> counters_;
   SimBackend inner_;
 };
-
-std::string freshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  fs::remove_all(dir);
-  return dir;
-}
 
 ExploreOptions baseOptions(const std::string& cacheDir,
                            std::shared_ptr<BackendCounters> counters) {
@@ -191,7 +186,7 @@ TEST(CacheKey, IgnoresWorkerCoreAndVariantName) {
 // ---------------------------------------------------------------------------
 
 TEST(MeasurementCache, StoreThenLoadRoundTrips) {
-  MeasurementCache cache(freshDir("mtcache_roundtrip"));
+  MeasurementCache cache(uniqueTempDir("mtcache_roundtrip"));
   VariantResult r = okResult("variant_a", 2.0);
   r.note = "multi\nline \\ note";
   cache.store("00000000000000aa", r);
@@ -213,13 +208,13 @@ TEST(MeasurementCache, StoreThenLoadRoundTrips) {
 }
 
 TEST(MeasurementCache, MissOnAbsentKey) {
-  MeasurementCache cache(freshDir("mtcache_absent"));
+  MeasurementCache cache(uniqueTempDir("mtcache_absent"));
   EXPECT_FALSE(cache.load("00000000000000bb").has_value());
   fs::remove_all(cache.dir());
 }
 
 TEST(MeasurementCache, MissOnCorruptFile) {
-  std::string dir = freshDir("mtcache_corrupt");
+  std::string dir = uniqueTempDir("mtcache_corrupt");
   {
     MeasurementCache cache(dir);
     cache.store("00000000000000cc", okResult("v", 1.0));
@@ -241,7 +236,7 @@ TEST(MeasurementCache, MissOnCorruptFile) {
 }
 
 TEST(MeasurementCache, MissOnVersionMismatch) {
-  std::string dir = freshDir("mtcache_version");
+  std::string dir = uniqueTempDir("mtcache_version");
   {
     MeasurementCache cache(dir);
     cache.store("00000000000000dd", okResult("v", 1.0));
@@ -262,7 +257,7 @@ TEST(MeasurementCache, MissOnVersionMismatch) {
 }
 
 TEST(MeasurementCache, MissOnKeyMismatch) {
-  std::string dir = freshDir("mtcache_keymismatch");
+  std::string dir = uniqueTempDir("mtcache_keymismatch");
   {
     MeasurementCache cache(dir);
     cache.store("00000000000000ee", okResult("v", 1.0));
@@ -277,7 +272,7 @@ TEST(MeasurementCache, MissOnKeyMismatch) {
 }
 
 TEST(MeasurementCache, StoreTempFileIsUniquePerProcess) {
-  MeasurementCache cache(freshDir("mtcache_tmpsuffix"));
+  MeasurementCache cache(uniqueTempDir("mtcache_tmpsuffix"));
   std::string key = "00000000000000a1";
   // A second process writing the same key would have started its own
   // counter at 0; before the pid went into the suffix both writers used
@@ -319,7 +314,7 @@ TEST(MeasurementCache, StoreTempFileIsUniquePerProcess) {
 }
 
 TEST(MeasurementCache, DoesNotStoreFailedResults) {
-  MeasurementCache cache(freshDir("mtcache_failed"));
+  MeasurementCache cache(uniqueTempDir("mtcache_failed"));
   VariantResult r = okResult("v", 1.0);
   r.status = "error";
   r.error = "backend exploded";
@@ -330,7 +325,7 @@ TEST(MeasurementCache, DoesNotStoreFailedResults) {
 }
 
 TEST(MeasurementCache, RecordsAreShardedByKeyPrefix) {
-  std::string dir = freshDir("mtcache_shards");
+  std::string dir = uniqueTempDir("mtcache_shards");
   MeasurementCache cache(dir);
   std::string key = "ab12cd34ef567890";
   cache.store(key, okResult("v", 1.0));
@@ -349,8 +344,7 @@ TEST(MeasurementCache, RecordsAreShardedByKeyPrefix) {
 TEST(MeasurementCache, MigratesFlatLegacyRecordsAtOpen) {
   // Records written by the pre-shard cache lived flat in the root. A new
   // open moves them into their shard and serves them from the index.
-  std::string dir = freshDir("mtcache_legacy");
-  fs::create_directories(dir);
+  std::string dir = uniqueTempDir("mtcache_legacy");
   std::string key = "00000000000000a7";
   VariantResult r = okResult("legacy_variant", 3.0);
   std::ofstream(fs::path(dir) / (key + ".mtres"), std::ios::binary)
@@ -366,7 +360,7 @@ TEST(MeasurementCache, MigratesFlatLegacyRecordsAtOpen) {
 }
 
 TEST(MeasurementCache, WarmReopenServesLoadsWithZeroRecordFileOpens) {
-  std::string dir = freshDir("mtcache_zeroopen");
+  std::string dir = uniqueTempDir("mtcache_zeroopen");
   std::vector<std::string> keys;
   {
     MeasurementCache cache(dir);
@@ -396,7 +390,7 @@ TEST(MeasurementCache, TwoProcessesAppendOneIntactJournal) {
   // interleaved mid-record the reopen would fall back to per-record file
   // reads (or drop entries), so the assertions below pin both: every key
   // loads AND the warm reopen never touches a record file.
-  std::string dir = freshDir("mtcache_flock");
+  std::string dir = uniqueTempDir("mtcache_flock");
   constexpr int kKeysPerChild = 200;
   std::vector<pid_t> children;
   for (int child = 0; child < 2; ++child) {
@@ -444,7 +438,7 @@ TEST(MeasurementCache, TwoProcessesAppendOneIntactJournal) {
 }
 
 TEST(MeasurementCache, MissingPackEntryRereadsTheFileOnceAndRejournals) {
-  std::string dir = freshDir("mtcache_repack");
+  std::string dir = uniqueTempDir("mtcache_repack");
   std::string key = "00000000000000c9";
   {
     MeasurementCache cache(dir);
@@ -467,7 +461,7 @@ TEST(MeasurementCache, MissingPackEntryRereadsTheFileOnceAndRejournals) {
 }
 
 TEST(MeasurementCache, TornPackTailFallsBackToTheRecordFiles) {
-  std::string dir = freshDir("mtcache_tornpack");
+  std::string dir = uniqueTempDir("mtcache_tornpack");
   std::string key = "00000000000000ca";
   {
     MeasurementCache cache(dir);
@@ -487,7 +481,7 @@ TEST(MeasurementCache, TornPackTailFallsBackToTheRecordFiles) {
 }
 
 TEST(MeasurementCache, TelemetryCountsHitsMissesAndCorruption) {
-  std::string dir = freshDir("mtcache_telemetry");
+  std::string dir = uniqueTempDir("mtcache_telemetry");
   {
     MeasurementCache cache(dir);
     cache.store("00000000000000e1", okResult("good", 1.0));
@@ -511,7 +505,7 @@ TEST(MeasurementCache, TelemetryCountsHitsMissesAndCorruption) {
 // ---------------------------------------------------------------------------
 
 TEST(Explore, SecondRunIsFullyCachedWithZeroBackendInvocations) {
-  std::string cacheDir = freshDir("explore_cache_accept");
+  std::string cacheDir = uniqueTempDir("explore_cache_accept");
 
   auto first = std::make_shared<BackendCounters>();
   ExploreResult cold = runExplore(baseOptions(cacheDir, first));
@@ -555,7 +549,7 @@ TEST(Explore, SecondRunIsFullyCachedWithZeroBackendInvocations) {
 }
 
 TEST(Explore, ProtocolChangeInvalidatesCache) {
-  std::string cacheDir = freshDir("explore_cache_proto");
+  std::string cacheDir = uniqueTempDir("explore_cache_proto");
   auto counters = std::make_shared<BackendCounters>();
   runExplore(baseOptions(cacheDir, counters));
 
@@ -571,7 +565,8 @@ TEST(Explore, ProtocolChangeInvalidatesCache) {
 
 TEST(Explore, InMemoryHandoffNeedsNoFilesystemRoundTrip) {
   auto counters = std::make_shared<BackendCounters>();
-  ExploreOptions options = baseOptions(freshDir("explore_nocache"), counters);
+  ExploreOptions options =
+      baseOptions(uniqueTempDir("explore_nocache") + "/cache", counters);
   options.useCache = false;
 
   ExploreResult result = runExplore(options);
@@ -589,7 +584,7 @@ TEST(Explore, InMemoryHandoffNeedsNoFilesystemRoundTrip) {
 }
 
 TEST(Explore, StreamsCampaignRowsWithCachedColumn) {
-  std::string cacheDir = freshDir("explore_stream");
+  std::string cacheDir = uniqueTempDir("explore_stream");
   auto counters = std::make_shared<BackendCounters>();
 
   std::ostringstream cold;
@@ -625,13 +620,14 @@ TEST(Explore, StreamsCampaignRowsWithCachedColumn) {
 
 TEST(Explore, StreamedColdRunMatchesBatchResults) {
   auto a = std::make_shared<BackendCounters>();
-  ExploreOptions batch = baseOptions(freshDir("explore_stream_batch"), a);
+  ExploreOptions batch = baseOptions(uniqueTempDir("explore_stream_batch"), a);
   batch.useCache = false;
   ExploreResult reference = runExplore(batch);
   ASSERT_GE(reference.results.size(), 2u);
 
   auto b = std::make_shared<BackendCounters>();
-  ExploreOptions streamed = baseOptions(freshDir("explore_stream_cold"), b);
+  ExploreOptions streamed =
+      baseOptions(uniqueTempDir("explore_stream_cold"), b);
   streamed.useCache = false;
   streamed.stream = true;
   ExploreResult result = runExplore(streamed);
@@ -656,7 +652,7 @@ TEST(Explore, StreamedColdRunMatchesBatchResults) {
 }
 
 TEST(Explore, StreamedWarmRunIsFullyCachedWithZeroFileOpens) {
-  std::string cacheDir = freshDir("explore_stream_warm");
+  std::string cacheDir = uniqueTempDir("explore_stream_warm");
   auto cold = std::make_shared<BackendCounters>();
   ExploreOptions coldOptions = baseOptions(cacheDir, cold);
   coldOptions.stream = true;
@@ -687,7 +683,7 @@ TEST(Explore, StreamedAndBatchRunsShareCacheEntries) {
   // post-verification; for a description where nothing is rejected the
   // request — and therefore every cache key — must agree, so a batch-cold /
   // stream-warm pair hits 100%.
-  std::string cacheDir = freshDir("explore_stream_share");
+  std::string cacheDir = uniqueTempDir("explore_stream_share");
   auto cold = std::make_shared<BackendCounters>();
   runExplore(baseOptions(cacheDir, cold));
 
@@ -702,7 +698,7 @@ TEST(Explore, StreamedAndBatchRunsShareCacheEntries) {
 
 TEST(Explore, StreamRejectsHalvingSearch) {
   auto counters = std::make_shared<BackendCounters>();
-  ExploreOptions options = baseOptions(freshDir("explore_stream_halving"),
+  ExploreOptions options = baseOptions(uniqueTempDir("explore_stream_halving"),
                                        counters);
   options.stream = true;
   options.search = SearchMode::Halving;
@@ -711,13 +707,13 @@ TEST(Explore, StreamRejectsHalvingSearch) {
 
 TEST(Explore, GenerateJobsLeaveResultsBitIdentical) {
   auto a = std::make_shared<BackendCounters>();
-  ExploreOptions serial = baseOptions(freshDir("explore_jobs1"), a);
+  ExploreOptions serial = baseOptions(uniqueTempDir("explore_jobs1"), a);
   serial.useCache = false;
   serial.descriptionText = figure6Xml(1, 4, true);
   ExploreResult reference = runExplore(serial);
 
   auto b = std::make_shared<BackendCounters>();
-  ExploreOptions parallel = baseOptions(freshDir("explore_jobs4"), b);
+  ExploreOptions parallel = baseOptions(uniqueTempDir("explore_jobs4"), b);
   parallel.useCache = false;
   parallel.descriptionText = figure6Xml(1, 4, true);
   parallel.generateJobs = 4;
@@ -733,7 +729,7 @@ TEST(Explore, GenerateJobsLeaveResultsBitIdentical) {
 
 TEST(Explore, MaxVariantsAndSeedOverridesApply) {
   auto counters = std::make_shared<BackendCounters>();
-  ExploreOptions options = baseOptions(freshDir("explore_max"), counters);
+  ExploreOptions options = baseOptions(uniqueTempDir("explore_max"), counters);
   options.useCache = false;
   options.descriptionText = figure6Xml(1, 8, false);
   options.maxVariants = 3;

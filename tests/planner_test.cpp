@@ -31,14 +31,9 @@ namespace {
 namespace fs = std::filesystem;
 
 using testing::figure6Xml;
+using testing::uniqueTempDir;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-std::string freshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  fs::remove_all(dir);
-  return dir;
-}
 
 /// Per-factory invocation counters shared by every backend it builds.
 struct BackendCounters {
@@ -315,7 +310,7 @@ TEST(Planner, AllVariantsFailingStopsWithoutSurvivors) {
 }
 
 TEST(Planner, WarmCacheRerunPerformsZeroBackendWork) {
-  std::string cacheDir = freshDir("planner_warm_cache");
+  std::string cacheDir = uniqueTempDir("planner_warm_cache");
   auto coldCounters = std::make_shared<BackendCounters>();
   ExploreOptions options = halvingOptions(coldCounters);
   options.useCache = true;
@@ -438,9 +433,7 @@ TEST(Planner, PredictedOrderSeedsScreeningSoBudgetCutsTheSlowTail) {
 }
 
 TEST(Planner, ResumesInterruptedHalvingCsv) {
-  std::string csvPath =
-      freshDir("planner_resume") + "/halving.csv";
-  fs::create_directories(fs::path(csvPath).parent_path());
+  std::string csvPath = uniqueTempDir("planner_resume") + "/halving.csv";
 
   // The uninterrupted reference run.
   auto refCounters = std::make_shared<BackendCounters>();

@@ -31,12 +31,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using testing::figure6Xml;
-
-std::string freshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  fs::remove_all(dir);
-  return dir;
-}
+using testing::uniqueTempDir;
 
 std::string readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -313,7 +308,7 @@ class ServeFixture : public ::testing::Test {
  protected:
   void startServer(ServeOptions options = {}) {
     if (options.cacheDir == ServeOptions{}.cacheDir) {
-      options.cacheDir = freshDir("serve_proto_cache");
+      options.cacheDir = uniqueTempDir("serve_proto_cache");
     }
     options.drainTimeoutMs = 200;  // protocol tests abandon leases on purpose
     server_ = std::make_unique<ServeServer>(std::move(options));
@@ -500,8 +495,7 @@ struct ShardedRun {
 ShardedRun runSharded(int workers, const std::string& cacheDir) {
   ServeOptions serveOptions;
   serveOptions.cacheDir = cacheDir;
-  std::string outDir = freshDir("serve_out_" + std::to_string(workers));
-  fs::create_directories(outDir);
+  std::string outDir = uniqueTempDir("serve_out_" + std::to_string(workers));
   serveOptions.csvPath = outDir + "/campaign.csv";
   serveOptions.reportPath = outDir + "/report.csv";
   ServeServer server(serveOptions);
@@ -550,7 +544,7 @@ TEST(ServeEndToEnd, FourWorkersMatchSingleProcessByteForByte) {
   std::ostringstream referenceReport;
   topKReport(referenceResult.results, 0).write(referenceReport);
 
-  ShardedRun run = runSharded(4, freshDir("serve_e2e_cache"));
+  ShardedRun run = runSharded(4, uniqueTempDir("serve_e2e_cache"));
   EXPECT_EQ(run.report, referenceReport.str());
   EXPECT_EQ(run.summary.campaignsFinalized, 1u);
   EXPECT_EQ(run.summary.workers.size(), 4u);
@@ -580,7 +574,7 @@ std::string stripLastColumn(const std::string& text) {
 }
 
 TEST(ServeEndToEnd, WarmRerunAnyWorkerCountDoesZeroBackendWork) {
-  std::string cacheDir = freshDir("serve_warm_cache");
+  std::string cacheDir = uniqueTempDir("serve_warm_cache");
   ShardedRun cold = runSharded(2, cacheDir);
   ASSERT_FALSE(cold.report.empty());
 
@@ -598,7 +592,7 @@ TEST(ServeEndToEnd, WarmRerunAnyWorkerCountDoesZeroBackendWork) {
 }
 
 TEST(ServeEndToEnd, CanonicalCsvIsSequenceOrderedAndComplete) {
-  ShardedRun run = runSharded(2, freshDir("serve_csv_cache"));
+  ShardedRun run = runSharded(2, uniqueTempDir("serve_csv_cache"));
   ASSERT_FALSE(run.csv.empty());
   std::istringstream in(run.csv);
   std::string line;
@@ -623,11 +617,10 @@ TEST(ServeEndToEnd, CanonicalCsvIsSequenceOrderedAndComplete) {
 }
 
 TEST(ServeEndToEnd, UnixSocketTransportWorks) {
-  std::string sockDir = freshDir("serve_unix");
-  fs::create_directories(sockDir);
+  std::string sockDir = uniqueTempDir("serve_unix");
   ServeOptions serveOptions;
   serveOptions.listen = "unix:" + sockDir + "/serve.sock";
-  serveOptions.cacheDir = freshDir("serve_unix_cache");
+  serveOptions.cacheDir = uniqueTempDir("serve_unix_cache");
   ServeServer server(serveOptions);
   server.start();
   EXPECT_EQ(server.boundAddress(), serveOptions.listen);
@@ -645,7 +638,7 @@ TEST(ServeEndToEnd, UnixSocketTransportWorks) {
 
 TEST(ServeEndToEnd, HalvingSearchIsRejectedInConnectMode) {
   ServeOptions serveOptions;
-  serveOptions.cacheDir = freshDir("serve_halving_cache");
+  serveOptions.cacheDir = uniqueTempDir("serve_halving_cache");
   ServeServer server(serveOptions);
   server.start();
   auto counters = std::make_shared<BackendCounters>();
@@ -659,7 +652,7 @@ TEST(ServeEndToEnd, HalvingSearchIsRejectedInConnectMode) {
 
 TEST(ServeEndToEnd, GracefulStopRefusesNewLeasesButServesHits) {
   ServeOptions serveOptions;
-  serveOptions.cacheDir = freshDir("serve_stop_cache");
+  serveOptions.cacheDir = uniqueTempDir("serve_stop_cache");
   serveOptions.drainTimeoutMs = 200;
   ServeServer server(serveOptions);
   server.start();

@@ -8,8 +8,8 @@
 #include "sim/core.hpp"
 #include "test_helpers.hpp"
 
-// The fast path of the simulated backend (steady-state extrapolation inside
-// CoreSim + warm-invoke memoization in SimBackend) promises *bit-identical*
+// The fast path of the simulated backend (warm-invoke memoization in
+// SimBackend, plus its fork and OpenMP memos) promises *bit-identical*
 // results to full cycle simulation — not approximately equal. These tests
 // drive both paths over the interesting kernel shapes (loadstore, strided
 // scalar loads, alignment offsets, L1-resident and streaming working sets)
@@ -80,8 +80,8 @@ TEST(SimBackendExactness, LoadStoreKernelsAllSizesAndAlignments) {
       {figure6Xml(8, 8, false), 16, 32},  {movssLoadXml(1, 1), 4, 0},
       {movssLoadXml(2, 2), 4, 4},
   };
-  // 16 KiB stays L1-resident (steady-state extrapolation territory); 1 MiB
-  // streams through L2/L3 (warm-invoke memoization territory).
+  // 16 KiB stays L1-resident; 1 MiB streams through L2/L3. Both settle
+  // into warm states the warm-invoke memo replays.
   std::vector<std::uint64_t> sizes = {16 * 1024, 1 << 20};
   for (const Case& c : cases) {
     std::string asmText = generate(c.xml).at(0).asmText;
@@ -135,52 +135,10 @@ TEST(SimBackendExactness, OpenMpMode) {
 // The optimizations must actually fire (not just silently fall back)
 // ---------------------------------------------------------------------------
 
-TEST(SimBackendExactness, SteadyStateExtrapolationFires) {
-  // L1-resident movaps loop, pre-warmed: after the confirmation window the
-  // core must stop simulating and extrapolate the remaining iterations.
-  std::string asmText =
-      "microkernel:\n"
-      " mov %rdi, %rax\n"
-      ".L6:\n"
-      " movaps (%rsi), %xmm0\n"
-      " add $16, %rsi\n"
-      " sub $4, %rdi\n"
-      " jg .L6\n"
-      " ret\n";
-  asmparse::Program program = asmparse::parseAssembly(asmText);
-  sim::MachineConfig machine = sim::nehalemX5650DualSocket();
-  std::uint64_t base = 1ull << 32;
-  int n = 4096;  // 16 KiB of floats, 1024 loop iterations
-
-  auto runWith = [&](bool enabled, sim::MemorySystem& ms) {
-    ms.touch(0, base, static_cast<std::uint64_t>(n) * 4 + 64);
-    sim::CoreSim core(machine, ms, 0);
-    sim::SteadyStateOptions ss;
-    ss.enabled = enabled;
-    core.setSteadyState(ss);
-    return core.run(program, n, {base});
-  };
-  sim::MemorySystem msFast(machine), msExact(machine);
-  sim::RunResult fast = runWith(true, msFast);
-  sim::RunResult exact = runWith(false, msExact);
-
-  EXPECT_GT(fast.extrapolatedFrom, 0u);
-  EXPECT_GT(fast.extrapolatedIterations, 0u);
-  EXPECT_EQ(exact.extrapolatedFrom, 0u);
-  EXPECT_EQ(fast.tscCycles, exact.tscCycles);
-  EXPECT_EQ(fast.coreCycles, exact.coreCycles);
-  EXPECT_EQ(fast.iterations, exact.iterations);
-  // The machine must end up where full simulation would have left it.
-  EXPECT_EQ(msFast.stateFingerprint(fast.coreCycles),
-            msExact.stateFingerprint(exact.coreCycles));
-  EXPECT_EQ(msFast.levelCount(sim::MemLevel::L1),
-            msExact.levelCount(sim::MemLevel::L1));
-}
-
 TEST(SimBackendExactness, WarmInvokeMemoizationFires) {
-  // 1 MiB streaming loadstore: every invoke misses into L2/L3, steady-state
-  // extrapolation never confirms — warm-invoke memoization must carry the
-  // speedup once the machine state starts cycling.
+  // 1 MiB streaming loadstore: every invoke misses into L2/L3 —
+  // warm-invoke memoization must carry the speedup once the machine state
+  // starts cycling.
   std::string asmText = generate(figure6Xml(1, 1, false)).at(0).asmText;
   KernelRequest request = requestFor(1 << 20, 0, 16);
   std::uint64_t replayed = 0;

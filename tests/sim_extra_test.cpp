@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 
 #include "asmparse/asmparse.hpp"
 #include "sim/core.hpp"
@@ -29,6 +30,12 @@ struct BranchCase {
   int n;
   std::uint64_t expectedIterations;
 };
+
+// Printed as the branch and start count. The default printer dumps the raw
+// struct bytes, a pointer among them, and the discovered test names embed it.
+void PrintTo(const BranchCase& c, std::ostream* os) {
+  *os << c.test << "_from_" << c.n;
+}
 
 class BranchSemantics : public ::testing::TestWithParam<BranchCase> {};
 

@@ -1,14 +1,53 @@
 #pragma once
 
 // Shared fixtures for the MicroTools test suite: the paper's Figure-6 kernel
-// description and small helpers to run the generation pipeline.
+// description, small helpers to run the generation pipeline, and per-test
+// scratch directories.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "creator/creator.hpp"
 
 namespace microtools::testing {
+
+/// An empty scratch directory private to the running test:
+/// `TempDir()/<suite>.<test>_<pid>_<name>`, removed and recreated on every
+/// call. ctest runs each gtest case as its own process, in parallel under
+/// `-j`, so fixed names would let one case wipe or fill another's files.
+/// The directories are removed again when the process that made them
+/// exits (a forked child exiting leaves them alone).
+inline std::string uniqueTempDir(const std::string& name) {
+  struct Registry {
+    pid_t owner = ::getpid();
+    std::vector<std::string> dirs;
+    ~Registry() {
+      if (::getpid() != owner) return;
+      std::error_code ec;
+      for (const std::string& dir : dirs) std::filesystem::remove_all(dir, ec);
+    }
+  };
+  static Registry registry;
+
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info ? std::string(info->test_suite_name()) + "." +
+                                info->name()
+                          : "global";
+  std::replace(test.begin(), test.end(), '/', '_');  // parameterized names
+  std::string dir = ::testing::TempDir() + "/" + test + "_" +
+                    std::to_string(::getpid()) + "_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  registry.dirs.push_back(dir);
+  return dir;
+}
 
 /// The (Load|Store)+ description of Figure 6 — §5.1's 510-variant study.
 inline std::string figure6Xml(int unrollMin = 1, int unrollMax = 8,
