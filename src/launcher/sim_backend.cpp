@@ -78,6 +78,7 @@ SimBackend::SimBackend(sim::MachineConfig config, SimBackendOptions options)
 
 void SimBackend::setMachine(sim::MachineConfig config) {
   config_ = std::move(config);
+  memsys_ = std::make_unique<sim::MemorySystem>(config_);
   reset();
 }
 
@@ -130,18 +131,9 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
   SimKernel& handle = checkedHandle(kernel);
 
   std::uint64_t memoKey = 0;
-  std::uint64_t preState = 0;
-  std::uint64_t lvlBefore[5] = {
-      0, memsys_->levelCount(sim::MemLevel::L1),
-      memsys_->levelCount(sim::MemLevel::L2),
-      memsys_->levelCount(sim::MemLevel::L3),
-      memsys_->levelCount(sim::MemLevel::Ram)};
-  std::uint64_t prefetchBefore = memsys_->prefetchCount();
-
   if (options_.memoize) {
-    preState = stateKey();
     hash::Fnv1a mh;
-    mh.u64(invokeKey(handle, request)).u64(preState);
+    mh.u64(invokeKey(handle, request)).u64(stateKey());
     memoKey = mh.value();
     auto it = memo_.find(memoKey);
     if (it != memo_.end()) {
@@ -154,14 +146,9 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
       // and splice the statistics: current counters plus the recorded
       // run's deltas.
       const MemoEntry& e = it->second;
-      *memsys_ = e.postState;
+      memsys_->restore(e.postState);
       memsys_->translateInFlight(clock_ - e.preClock);
-      std::uint64_t credit[5] = {0, lvlBefore[1] - e.preLevels[1],
-                                 lvlBefore[2] - e.preLevels[2],
-                                 lvlBefore[3] - e.preLevels[3],
-                                 lvlBefore[4] - e.preLevels[4]};
-      memsys_->creditReplayedAccesses(credit,
-                                      prefetchBefore - e.prePrefetches);
+      memsys_->creditReplayedAccesses(e.levelDeltas, e.prefetchDelta);
       clock_ += e.coreCycles + static_cast<std::uint64_t>(kCallOverhead);
       stateKeyCache_ = e.postStateKey;
       ++replayedInvokes_;
@@ -169,6 +156,12 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
     }
   }
 
+  std::uint64_t levelsBefore[5] = {0, 0, 0, 0, 0};
+  for (int level = 1; level < 5; ++level) {
+    levelsBefore[level] =
+        memsys_->levelCount(static_cast<sim::MemLevel>(level));
+  }
+  std::uint64_t prefetchBefore = memsys_->prefetchCount();
   std::vector<std::uint64_t> addrs = planAddresses(request, 0);
   sim::CoreSim core(config_, *memsys_, request.core);
   std::uint64_t preClock = clock_;
@@ -181,13 +174,21 @@ InvokeResult SimBackend::invoke(KernelHandle& kernel,
   out.iterations = r.iterations;
 
   if (options_.memoize && memo_.size() < kMaxMemoEntries) {
-    MemoEntry memo{r.coreCycles,
-                   preClock,
-                   {0, lvlBefore[1], lvlBefore[2], lvlBefore[3], lvlBefore[4]},
-                   prefetchBefore,
-                   stateKey(),
-                   *memsys_,
-                   out};
+    MemoEntry memo;
+    memo.coreCycles = r.coreCycles;
+    memo.preClock = preClock;
+    for (int level = 1; level < 5; ++level) {
+      memo.levelDeltas[level] =
+          memsys_->levelCount(static_cast<sim::MemLevel>(level)) -
+          levelsBefore[level];
+    }
+    memo.prefetchDelta = memsys_->prefetchCount() - prefetchBefore;
+    // Order matters: the snapshot holds the cache sets changed since the
+    // last fingerprint (taken at or before this invoke's start), and
+    // stateKey() clears that list. Snapshot first, then fingerprint.
+    memo.postState = memsys_->snapshotTouched();
+    memo.postStateKey = stateKey();
+    memo.result = out;
     memo_.emplace(memoKey, std::move(memo));
   }
   return out;
@@ -270,12 +271,14 @@ InvokeResult SimBackend::invokeOpenMp(KernelHandle& kernel,
 }
 
 void SimBackend::reset() {
-  // Full machine reset (fresh memory system, clock at 0), not just a cache
-  // flush: the campaign runner resets before every variant and relies on
-  // results being bit-identical regardless of which worker ran what before.
-  // That contract extends to memoized results — they describe the previous
-  // machine and must not survive into the cold one.
-  memsys_ = std::make_unique<sim::MemorySystem>(config_);
+  // Full machine reset (memory system as freshly constructed, clock at 0),
+  // not just a cache flush: the campaign runner resets before every variant
+  // and relies on results being bit-identical regardless of which worker
+  // ran what before. That contract extends to memoized results — they
+  // describe the previous machine and must not survive into the cold one.
+  // Resetting in place rather than constructing anew skips re-allocating
+  // and zeroing ~11 MB of cache ways per variant.
+  memsys_->reset();
   clock_ = 0;
   memo_.clear();
   stateKeyCache_.reset();

@@ -23,7 +23,7 @@ struct SimBackendOptions {
   bool steadyState = true;
 
   /// Warm-invoke memoization: every simulated invoke is recorded together
-  /// with a snapshot of the machine state it produced; an identical invoke
+  /// with a snapshot of the machine state it changed; an identical invoke
   /// starting from a fingerprint-equal machine state replays the recorded
   /// result and restores the snapshot instead of re-simulating.
   bool memoize = true;
@@ -90,16 +90,18 @@ class SimBackend final : public Backend {
   /// invariant, hitting the same key from a fingerprint-equal machine
   /// state must reproduce this result bit for bit — so replay returns
   /// `result` and restores the recorded post-state snapshot, shifted
-  /// forward by the elapsed clock difference. Warm protocols commonly
-  /// settle into short state cycles (period 1 or 2), so a small table
-  /// rather than a single slot.
+  /// forward by the elapsed clock difference. The snapshot holds only the
+  /// cache sets the run changed plus the small timing state, so recording
+  /// and replaying cost O(state touched), not O(machine). Warm protocols
+  /// commonly settle into short state cycles (period 1 or 2), so a small
+  /// table rather than a single slot.
   struct MemoEntry {
     std::uint64_t coreCycles = 0;
-    std::uint64_t preClock = 0;     // clock_ when the invoke started
-    std::uint64_t preLevels[5] = {0, 0, 0, 0, 0};
-    std::uint64_t prePrefetches = 0;
-    std::uint64_t postStateKey = 0;  // fingerprint of postState at its clock
-    sim::MemorySystem postState;     // full machine snapshot after the run
+    std::uint64_t preClock = 0;  // clock_ when the invoke started
+    std::uint64_t levelDeltas[5] = {0, 0, 0, 0, 0};  // demand accesses
+    std::uint64_t prefetchDelta = 0;
+    std::uint64_t postStateKey = 0;  // fingerprint of the post-state
+    sim::MemorySystem::Snapshot postState;
     InvokeResult result;
   };
 
@@ -124,7 +126,7 @@ class SimBackend final : public Backend {
   /// hash(invoke key, pre-state fingerprint) -> recorded invoke. Bounded:
   /// warm protocols need only transient + cycle length entries (a handful);
   /// the cap just guards against adversarial request streams filling RAM
-  /// with machine snapshots.
+  /// with snapshots (each up to the cache sets one invoke touched).
   static constexpr std::size_t kMaxMemoEntries = 32;
   std::map<std::uint64_t, MemoEntry> memo_;
   /// Cached memsys fingerprint at clock_; reset whenever simulation mutates

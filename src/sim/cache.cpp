@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace microtools::sim {
 
@@ -19,16 +20,19 @@ CacheLevel::CacheLevel(std::uint64_t sizeBytes, int ways, int lineBytes)
   }
   sets_ = lines / static_cast<std::uint64_t>(ways);
   ways_storage_.resize(sets_ * static_cast<std::uint64_t>(ways));
+  setHash_.assign(sets_, 0);  // empty sets hash as 0
+  dirtyMark_.assign(sets_, 0);
 }
 
 bool CacheLevel::lookup(std::uint64_t lineAddr) {
   ++clock_;
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].lastUse = clock_;
+      markDirty(set);
       ++hits_;
       return true;
     }
@@ -40,7 +44,7 @@ bool CacheLevel::lookup(std::uint64_t lineAddr) {
 bool CacheLevel::contains(std::uint64_t lineAddr) const {
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  const Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  const Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) return true;
   }
@@ -51,7 +55,8 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
   ++clock_;
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
+  markDirty(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].lastUse = clock_;  // already present: refresh
@@ -85,10 +90,11 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
 bool CacheLevel::invalidate(std::uint64_t lineAddr) {
   std::uint64_t set = setIndex(lineAddr);
   std::uint64_t tag = tagOf(lineAddr);
-  Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].valid = false;
+      markDirty(set);
       return true;
     }
   }
@@ -96,31 +102,83 @@ bool CacheLevel::invalidate(std::uint64_t lineAddr) {
 }
 
 void CacheLevel::clear() {
-  for (Way& w : ways_storage_) w.valid = false;
+  for (std::uint64_t set = 0; set < sets_; ++set) {
+    // Only a set that hashed non-empty at the last fingerprint() or changed
+    // since can hold lines; skipping the rest keeps clear() off the cold
+    // bulk of a large cache.
+    if (setHash_[set] == 0 && !dirtyMark_[set]) continue;
+    Way* base = setBase(set);
+    for (int w = 0; w < ways_; ++w) {
+      if (!base[w].valid) continue;
+      base[w].valid = false;
+      markDirty(set);
+    }
+  }
   clock_ = 0;
   hits_ = 0;
   misses_ = 0;
 }
 
-void CacheLevel::hashState(hash::Fnv1a& h) const {
-  h.u64(sets_).u64(static_cast<std::uint64_t>(ways_));
+std::uint64_t CacheLevel::hashSet(std::uint64_t set,
+                                  std::vector<const Way*>& valid) const {
+  const Way* base = setBase(set);
+  valid.clear();
+  for (int w = 0; w < ways_; ++w) {
+    if (base[w].valid) valid.push_back(&base[w]);
+  }
+  if (valid.empty()) return 0;  // empty sets hash as absent
+  // Recency order (oldest first): the victim scan and every future hit
+  // depend only on this ordering, never on the absolute lastUse values.
+  std::sort(valid.begin(), valid.end(), [](const Way* a, const Way* b) {
+    return a->lastUse < b->lastUse;
+  });
+  hash::Fnv1a h;
+  h.u64(set).u64(valid.size());
+  for (const Way* w : valid) h.u64(w->tag);
+  // The fingerprint sums the per-set hashes, so finish each with a full
+  // avalanche (splitmix64) to keep the sum free of FNV's linear structure.
+  std::uint64_t x = h.value();
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return (x ^ (x >> 31)) | 1;  // odd, so only an empty set hashes as 0
+}
+
+std::uint64_t CacheLevel::fingerprint() {
   std::vector<const Way*> valid;
   valid.reserve(static_cast<std::size_t>(ways_));
-  for (std::uint64_t set = 0; set < sets_; ++set) {
-    const Way* base = &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
-    valid.clear();
-    for (int w = 0; w < ways_; ++w) {
-      if (base[w].valid) valid.push_back(&base[w]);
-    }
-    if (valid.empty()) continue;  // empty sets hash as absent
-    // Recency order (oldest first): the victim scan and every future hit
-    // depend only on this ordering, never on the absolute lastUse values.
-    std::sort(valid.begin(), valid.end(), [](const Way* a, const Way* b) {
-      return a->lastUse < b->lastUse;
-    });
-    h.u64(set).u64(valid.size());
-    for (const Way* w : valid) h.u64(w->tag);
+  for (std::uint64_t set : dirtySets_) {
+    std::uint64_t fresh = hashSet(set, valid);
+    setHashSum_ += fresh - setHash_[set];
+    setHash_[set] = fresh;
+    dirtyMark_[set] = 0;
   }
+  dirtySets_.clear();
+  return hash::Fnv1a()
+      .u64(sets_)
+      .u64(static_cast<std::uint64_t>(ways_))
+      .u64(setHashSum_)
+      .value();
+}
+
+void CacheLevel::captureDirty(Image& image) const {
+  std::size_t ways = static_cast<std::size_t>(ways_);
+  image.sets = dirtySets_;
+  image.ways.resize(dirtySets_.size() * ways);
+  for (std::size_t i = 0; i < dirtySets_.size(); ++i) {
+    const Way* base = setBase(dirtySets_[i]);
+    std::copy(base, base + ways, image.ways.begin() + i * ways);
+  }
+  image.clock = clock_;
+}
+
+void CacheLevel::restore(const Image& image) {
+  std::size_t ways = static_cast<std::size_t>(ways_);
+  for (std::size_t i = 0; i < image.sets.size(); ++i) {
+    auto from = image.ways.begin() + i * ways;
+    std::copy(from, from + ways, setBase(image.sets[i]));
+    markDirty(image.sets[i]);
+  }
+  clock_ = std::max(clock_, image.clock);
 }
 
 }  // namespace microtools::sim

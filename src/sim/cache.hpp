@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/hash.hpp"
-
 namespace microtools::sim {
 
 /// A set-associative cache with true-LRU replacement, operating on line
@@ -12,7 +10,19 @@ namespace microtools::sim {
 ///
 /// The simulator uses this for L1/L2 (per core) and L3 (per socket). Only
 /// presence is tracked — data values never matter for timing.
+///
+/// For SimBackend's warm-invoke memo the cache also tracks which sets
+/// changed since the last fingerprint(), so fingerprinting, capturing and
+/// restoring cost O(sets touched) rather than O(cache). The hits()/misses()
+/// statistics are outside that contract: restore() does not splice them, and
+/// nothing in MemorySystem reads them.
 class CacheLevel {
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lastUse = 0;
+    bool valid = false;
+  };
+
  public:
   /// sizeBytes must be a multiple of ways*lineBytes; throws McError
   /// otherwise. The set count may be any positive integer (real LLCs are
@@ -35,7 +45,7 @@ class CacheLevel {
   /// Removes a line if present; returns whether it was.
   bool invalidate(std::uint64_t lineAddr);
 
-  /// Drops all content.
+  /// Drops all content. Costs O(sets that may hold lines), not O(cache).
   void clear();
 
   std::uint64_t sizeBytes() const { return sizeBytes_; }
@@ -47,28 +57,54 @@ class CacheLevel {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Mixes the replacement-relevant state into `h`: per set, the valid ways
+  /// Digest of the replacement-relevant state: per set, the valid ways
   /// ordered by recency rank. The absolute LRU clock is deliberately
   /// excluded — two caches whose contents and recency *ordering* agree
   /// behave identically forever, which is what warm-invoke memoization
-  /// needs to compare across invocations.
-  void hashState(hash::Fnv1a& h) const;
+  /// needs to compare across invocations. Incremental: only the sets
+  /// changed since the previous call are re-hashed, and the changed-set
+  /// list is cleared.
+  std::uint64_t fingerprint();
+
+  /// Whole copies of the sets changed since the last fingerprint(), plus
+  /// the use clock at capture time.
+  struct Image {
+    std::vector<std::uint64_t> sets;
+    std::vector<Way> ways;  // ways() entries per set, in `sets` order
+    std::uint64_t clock = 0;
+  };
+
+  /// Copies every set changed since the last fingerprint() into `image`.
+  void captureDirty(Image& image) const;
+
+  /// Writes the captured sets back and advances the use clock past every
+  /// restored use. LRU compares use times only within one set, so restoring
+  /// whole sets next to untouched ones is exact.
+  void restore(const Image& image);
 
   static constexpr std::uint64_t kNoEviction = ~0ull;
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lastUse = 0;
-    bool valid = false;
-  };
-
   std::uint64_t setIndex(std::uint64_t lineAddr) const {
     return lineAddr % sets_;
   }
   // The full line address is stored as the tag, so evicted-line reporting
   // needs no reconstruction.
   static std::uint64_t tagOf(std::uint64_t lineAddr) { return lineAddr; }
+
+  Way* setBase(std::uint64_t set) {
+    return &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  }
+  const Way* setBase(std::uint64_t set) const {
+    return &ways_storage_[set * static_cast<std::uint64_t>(ways_)];
+  }
+  void markDirty(std::uint64_t set) {
+    if (dirtyMark_[set]) return;
+    dirtyMark_[set] = 1;
+    dirtySets_.push_back(set);
+  }
+  std::uint64_t hashSet(std::uint64_t set,
+                        std::vector<const Way*>& valid) const;
 
   std::uint64_t sizeBytes_;
   int ways_;
@@ -78,6 +114,13 @@ class CacheLevel {
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+
+  // Incremental fingerprint: the per-set hashes as of the last
+  // fingerprint(), their sum, and the sets changed since then.
+  std::vector<std::uint64_t> setHash_;
+  std::uint64_t setHashSum_ = 0;
+  std::vector<std::uint8_t> dirtyMark_;
+  std::vector<std::uint64_t> dirtySets_;
 };
 
 }  // namespace microtools::sim

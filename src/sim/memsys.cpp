@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace microtools::sim {
 
@@ -11,20 +12,16 @@ MemorySystem::MemorySystem(const MachineConfig& config) : config_(config) {
     throw McError("machine must have at least one socket and core");
   }
   for (int c = 0; c < config_.totalCores(); ++c) {
-    cores_.push_back(CorePrivate{
+    cores_.emplace_back(
         CacheLevel(config_.l1.sizeBytes, config_.l1.ways, config_.lineBytes),
-        CacheLevel(config_.l2.sizeBytes, config_.l2.ways, config_.lineBytes),
-        0,
-        ~0ull,
-        0,
-        {}});
+        CacheLevel(config_.l2.sizeBytes, config_.l2.ways, config_.lineBytes));
   }
   for (int s = 0; s < config_.sockets; ++s) {
     Socket socket{
-        CacheLevel(config_.l3.sizeBytes, config_.l3.ways, config_.lineBytes),
-        std::vector<std::uint64_t>(
-            static_cast<std::size_t>(config_.memChannelsPerSocket), 0),
-        0};
+        {std::vector<std::uint64_t>(
+             static_cast<std::size_t>(config_.memChannelsPerSocket), 0),
+         0},
+        CacheLevel(config_.l3.sizeBytes, config_.l3.ways, config_.lineBytes)};
     sockets_.push_back(std::move(socket));
   }
   l3LatencyCycles_ = config_.nsToCoreCycles(config_.l3.latencyNs);
@@ -253,19 +250,27 @@ void MemorySystem::clearCaches() {
   prefetches_ = 0;
 }
 
+void MemorySystem::reset() {
+  clearCaches();
+  for (Socket& socket : sockets_) {
+    std::fill(socket.channelFree.begin(), socket.channelFree.end(), 0);
+    socket.l3PortFree = 0;
+  }
+  homeRanges_.clear();
+}
+
 std::uint64_t MemorySystem::levelCount(MemLevel level) const {
   return levelCounts_[static_cast<int>(level)];
 }
 
-std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
+std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) {
   // Busy-times in the past are equivalent to "free now": every consumer
   // computes max(cycle, free), so any value <= clock behaves like clock.
   auto rel = [clock](std::uint64_t t) { return t > clock ? t - clock : 0; };
   hash::Fnv1a h;
   h.u64(cores_.size()).u64(sockets_.size());
-  for (const CorePrivate& core : cores_) {
-    core.l1.hashState(h);
-    core.l2.hashState(h);
+  for (CorePrivate& core : cores_) {
+    h.u64(core.l1.fingerprint()).u64(core.l2.fingerprint());
     h.u64(rel(core.l2PortFree));
     h.u64(core.lastMissLine);
     h.u64(static_cast<std::uint64_t>(core.streak));
@@ -277,8 +282,8 @@ std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
       h.u64(line).u64(rel(arrival));
     }
   }
-  for (const Socket& socket : sockets_) {
-    socket.l3.hashState(h);
+  for (Socket& socket : sockets_) {
+    h.u64(socket.l3.fingerprint());
     h.u64(rel(socket.l3PortFree));
     h.u64(socket.channelFree.size());
     for (std::uint64_t f : socket.channelFree) h.u64(rel(f));
@@ -288,6 +293,38 @@ std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) const {
     h.u64(r.base).u64(r.size).u64(static_cast<std::uint64_t>(r.socket));
   }
   return h.value();
+}
+
+MemorySystem::Snapshot MemorySystem::snapshotTouched() const {
+  Snapshot snapshot;
+  snapshot.cores.resize(cores_.size());
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    Snapshot::Core& out = snapshot.cores[c];
+    cores_[c].l1.captureDirty(out.l1);
+    cores_[c].l2.captureDirty(out.l2);
+    out.timing = static_cast<const CoreTiming&>(cores_[c]);
+  }
+  snapshot.sockets.resize(sockets_.size());
+  for (std::size_t s = 0; s < sockets_.size(); ++s) {
+    Snapshot::Sock& out = snapshot.sockets[s];
+    sockets_[s].l3.captureDirty(out.l3);
+    out.timing = static_cast<const SocketTiming&>(sockets_[s]);
+  }
+  return snapshot;
+}
+
+void MemorySystem::restore(const Snapshot& snapshot) {
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    const Snapshot::Core& in = snapshot.cores[c];
+    cores_[c].l1.restore(in.l1);
+    cores_[c].l2.restore(in.l2);
+    static_cast<CoreTiming&>(cores_[c]) = in.timing;
+  }
+  for (std::size_t s = 0; s < sockets_.size(); ++s) {
+    const Snapshot::Sock& in = snapshot.sockets[s];
+    sockets_[s].l3.restore(in.l3);
+    static_cast<SocketTiming&>(sockets_[s]) = in.timing;
+  }
 }
 
 void MemorySystem::creditReplayedAccesses(const std::uint64_t levelDeltas[5],

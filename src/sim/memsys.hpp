@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/arch.hpp"
@@ -27,6 +28,21 @@ struct AccessResult {
 /// MachineConfig converts uncore nanosecond latencies at construction so a
 /// core-frequency change (Figure 13) rescales exactly the off-core part.
 class MemorySystem {
+  /// Per-core and per-socket state outside the caches. It is small, so a
+  /// Snapshot copies all of it.
+  struct CoreTiming {
+    std::uint64_t l2PortFree = 0;  // L2->L1 fill bandwidth
+    // Stream prefetcher state.
+    std::uint64_t lastMissLine = ~0ull;
+    int streak = 0;
+    // Lines being prefetched into L2: line -> arrival cycle.
+    std::map<std::uint64_t, std::uint64_t> pendingFills;
+  };
+  struct SocketTiming {
+    std::vector<std::uint64_t> channelFree;
+    std::uint64_t l3PortFree = 0;  // shared L3 read bandwidth
+  };
+
  public:
   explicit MemorySystem(const MachineConfig& config);
 
@@ -58,6 +74,10 @@ class MemorySystem {
   /// Drops all cached state and statistics (channel clocks keep advancing).
   void clearCaches();
 
+  /// Returns to the state of a freshly constructed MemorySystem, reusing the
+  /// cache storage instead of allocating and zeroing it again.
+  void reset();
+
   /// Per-level access counters (demand accesses, both loads and stores).
   std::uint64_t levelCount(MemLevel level) const;
 
@@ -72,8 +92,37 @@ class MemorySystem {
   /// respective clocks respond identically to identical future access
   /// streams — the foundation of SimBackend's warm-invoke memoization.
   /// Statistics (levelCounts, prefetch and hit/miss counters) are excluded:
-  /// they never influence timing.
-  std::uint64_t stateFingerprint(std::uint64_t clock) const;
+  /// they never influence timing. Incremental: each cache re-hashes only the
+  /// sets changed since the previous call, then forgets that they changed.
+  std::uint64_t stateFingerprint(std::uint64_t clock);
+
+  /// The behavior-relevant state an access stream changed since the last
+  /// stateFingerprint(): whole copies of the changed cache sets plus all
+  /// per-core and per-socket timing state. Statistics are not included.
+  struct Snapshot {
+    struct Core {
+      CacheLevel::Image l1, l2;
+      CoreTiming timing;
+    };
+    struct Sock {
+      CacheLevel::Image l3;
+      SocketTiming timing;
+    };
+    std::vector<Core> cores;
+    std::vector<Sock> sockets;
+  };
+
+  /// Captures the state changed since the last stateFingerprint(). Take it
+  /// before fingerprinting the same state: fingerprinting clears the
+  /// changed-set lists this reads.
+  Snapshot snapshotTouched() const;
+
+  /// Writes a snapshot back. Starting from a state fingerprint-equal to the
+  /// one the snapshotted stream started from, the result is
+  /// fingerprint-equal to the state the snapshot was taken in. Busy-times
+  /// come back as recorded; a later replay shifts them with
+  /// translateInFlight().
+  void restore(const Snapshot& snapshot);
 
   /// Adds per-level demand-access and prefetch counts to the statistics
   /// without simulating them — used when SimBackend replays a memoized
@@ -92,21 +141,15 @@ class MemorySystem {
   int socketOfCore(int coreId) const;
 
  private:
-  struct CorePrivate {
+  struct CorePrivate : CoreTiming {
+    CorePrivate(CacheLevel l1In, CacheLevel l2In)
+        : l1(std::move(l1In)), l2(std::move(l2In)) {}
     CacheLevel l1;
     CacheLevel l2;
-    std::uint64_t l2PortFree = 0;  // L2->L1 fill bandwidth
-    // Stream prefetcher state.
-    std::uint64_t lastMissLine = ~0ull;
-    int streak = 0;
-    // Lines being prefetched into L2: line -> arrival cycle.
-    std::map<std::uint64_t, std::uint64_t> pendingFills;
   };
 
-  struct Socket {
+  struct Socket : SocketTiming {
     CacheLevel l3;
-    std::vector<std::uint64_t> channelFree;
-    std::uint64_t l3PortFree = 0;  // shared L3 read bandwidth
   };
 
   std::uint64_t lineOf(std::uint64_t addr) const {

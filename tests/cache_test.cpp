@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -131,6 +133,12 @@ struct Geometry {
   int ways;
 };
 
+// Names the ctest cases after the geometry; without it gtest prints the raw
+// bytes of the struct, padding included, so the names change between builds.
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << g.size / 1024 << "KiB_" << g.ways << "way";
+}
+
 class CacheGeometry : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheGeometry, CapacityIsExact) {
@@ -179,6 +187,146 @@ TEST(Cache, RandomizedLruMatchesReferenceModel) {
     }
     list.insert(list.begin(), line);
   }
+}
+
+// Per set, the valid tags oldest first: what fingerprint() promises to
+// digest, independent of the absolute use clock.
+using Contents = std::vector<std::vector<std::uint64_t>>;
+
+constexpr std::uint64_t kPropSize = 1024;  // 4 sets x 4 ways of 64 B
+constexpr int kPropWays = 4;
+
+// A fresh cache holding `contents` in the same recency order, built with a
+// use clock unrelated to whatever produced `contents`.
+std::uint64_t rebuiltFingerprint(const Contents& contents) {
+  CacheLevel fresh(kPropSize, kPropWays, 64);
+  for (const auto& set : contents) {
+    for (std::uint64_t tag : set) fresh.insert(tag);
+  }
+  return fresh.fingerprint();
+}
+
+void moveToBack(std::vector<std::uint64_t>& list, std::uint64_t line) {
+  list.erase(std::find(list.begin(), list.end(), line));
+  list.push_back(line);
+}
+
+TEST(Cache, IncrementalFingerprintMatchesRebuiltCache) {
+  // Seeded random lookup/insert/invalidate/clear/capture/restore streams,
+  // mirrored in a reference LRU model. At every fingerprint step the
+  // incremental fingerprint must equal that of a fresh cache rebuilt to the
+  // model's contents and recency order, and must differ once two entries of
+  // one set swap places. Every capture must cover each set the model saw
+  // change since the last fingerprint.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    CacheLevel cache(kPropSize, kPropWays, 64);
+    std::uint64_t sets = cache.sets();
+    Contents model(sets);
+    Contents modelAtCapture = model;
+    std::vector<bool> changed(sets, false);  // since the last fingerprint
+    CacheLevel::Image image;
+    bool haveImage = false;
+    Rng rng(seed);
+    for (int step = 0; step < 4000; ++step) {
+      std::uint64_t line = rng.nextBelow(40);
+      std::uint64_t set = line % sets;
+      auto& list = model[set];
+      bool present = std::find(list.begin(), list.end(), line) != list.end();
+      std::uint64_t op = rng.nextBelow(100);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step) + " op " + std::to_string(op));
+      if (op < 40) {
+        ASSERT_EQ(cache.lookup(line), present);
+        if (present) {
+          moveToBack(list, line);
+          changed[set] = true;
+        }
+      } else if (op < 75) {
+        std::uint64_t evicted = cache.insert(line);
+        if (present) {
+          moveToBack(list, line);
+          ASSERT_EQ(evicted, CacheLevel::kNoEviction);
+        } else {
+          if (list.size() == static_cast<std::size_t>(kPropWays)) {
+            ASSERT_EQ(evicted, list.front());
+            list.erase(list.begin());
+          } else {
+            ASSERT_EQ(evicted, CacheLevel::kNoEviction);
+          }
+          list.push_back(line);
+        }
+        changed[set] = true;
+      } else if (op < 85) {
+        ASSERT_EQ(cache.invalidate(line), present);
+        if (present) {
+          list.erase(std::find(list.begin(), list.end(), line));
+          changed[set] = true;
+        }
+      } else if (op < 86) {
+        cache.clear();
+        for (std::uint64_t s = 0; s < sets; ++s) {
+          if (!model[s].empty()) changed[s] = true;
+          model[s].clear();
+        }
+      } else if (op < 91) {
+        cache.captureDirty(image);
+        haveImage = true;
+        modelAtCapture = model;
+        for (std::uint64_t s = 0; s < sets; ++s) {
+          if (!changed[s]) continue;
+          EXPECT_NE(std::find(image.sets.begin(), image.sets.end(), s),
+                    image.sets.end())
+              << "changed set " << s << " missing from the capture";
+        }
+      } else if (op < 94) {
+        if (!haveImage) continue;
+        cache.restore(image);
+        for (std::uint64_t s : image.sets) {
+          model[s] = modelAtCapture[s];
+          changed[s] = true;
+        }
+      } else {
+        std::uint64_t fp = cache.fingerprint();
+        ASSERT_EQ(fp, rebuiltFingerprint(model));
+        std::fill(changed.begin(), changed.end(), false);
+        for (auto& candidate : model) {
+          if (candidate.size() < 2) continue;
+          std::swap(candidate[0], candidate[1]);
+          EXPECT_NE(fp, rebuiltFingerprint(model));
+          std::swap(candidate[0], candidate[1]);
+          break;
+        }
+      }
+    }
+  }
+}
+
+TEST(Cache, FingerprintIgnoresAbsoluteUseClock) {
+  // Same contents and recency order, use clocks far apart: equal.
+  CacheLevel a(kPropSize, kPropWays, 64);
+  CacheLevel b(kPropSize, kPropWays, 64);
+  for (std::uint64_t miss = 1000; miss < 1100; ++miss) b.lookup(miss);
+  for (std::uint64_t line : {0, 4, 8, 1, 5}) {
+    a.insert(line);
+    b.insert(line);
+    b.lookup(2000 + line);  // a miss: advances only b's clock
+  }
+  a.lookup(4);
+  b.lookup(4);
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(Cache, FingerprintSeesRecencyOrder) {
+  // Same contents, different order within one set: different.
+  CacheLevel a(kPropSize, kPropWays, 64);
+  CacheLevel b(kPropSize, kPropWays, 64);
+  a.insert(0);
+  a.insert(4);
+  b.insert(4);
+  b.insert(0);
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+  b.lookup(4);  // now 0 then 4, as in a
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ namespace fs = std::filesystem;
 
 using testing::figure6Xml;
 using testing::generate;
+using testing::uniqueTempDir;
 
 BackendFactory simFactory() {
   return [](int) {
@@ -267,8 +268,7 @@ TEST(Campaign, ValidatesConstruction) {
 // ---------------------------------------------------------------------------
 
 TEST(Campaign, StreamsRowsToFileAppendSafely) {
-  std::string path = ::testing::TempDir() + "/campaign_stream.csv";
-  std::remove(path.c_str());
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::vector<CampaignVariant> variants = eightVariants();
   {
     CampaignCsvSink sink(path);
@@ -301,7 +301,6 @@ TEST(Campaign, StreamsRowsToFileAppendSafely) {
   auto [headers2, rows2] = countLines();
   EXPECT_EQ(headers2, 1);
   EXPECT_EQ(rows2, 2 * static_cast<int>(variants.size()));
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, SinkRowsCoverEverySequence) {
@@ -326,9 +325,7 @@ TEST(Campaign, SinkRowsCoverEverySequence) {
 // ---------------------------------------------------------------------------
 
 TEST(Campaign, DirectoryLoaderPicksUpKernelsSorted) {
-  std::string dir = ::testing::TempDir() + "/campaign_dir_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  std::string dir = uniqueTempDir("campaign_dir_test");
   std::vector<CampaignVariant> programs = eightVariants();
   std::ofstream(dir + "/b_second.s") << programs[1].source;
   std::ofstream(dir + "/a_first.s") << programs[0].source;
@@ -346,16 +343,12 @@ TEST(Campaign, DirectoryLoaderPicksUpKernelsSorted) {
     EXPECT_EQ(v.functionName, "mk");
     EXPECT_FALSE(v.source.empty());
   }
-  fs::remove_all(dir);
 }
 
 TEST(Campaign, DirectoryLoaderRejectsMissingOrEmptyDirs) {
   EXPECT_THROW(loadCampaignDirectory("/nonexistent/campaign"), McError);
-  std::string dir = ::testing::TempDir() + "/campaign_empty_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  std::string dir = uniqueTempDir("campaign_empty_test");
   EXPECT_THROW(loadCampaignDirectory(dir), McError);
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -363,8 +356,7 @@ TEST(Campaign, DirectoryLoaderRejectsMissingOrEmptyDirs) {
 // ---------------------------------------------------------------------------
 
 TEST(Campaign, ResumeSkipsVariantsAlreadyCompletedInCsv) {
-  std::string path = ::testing::TempDir() + "/campaign_resume.csv";
-  std::remove(path.c_str());
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::vector<CampaignVariant> variants = eightVariants();
 
   {
@@ -405,7 +397,6 @@ TEST(Campaign, ResumeSkipsVariantsAlreadyCompletedInCsv) {
     if (!line.empty()) ++lines;
   }
   EXPECT_EQ(lines, 1 + static_cast<int>(variants.size()));
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, ResumeReRunsVariantsThatDidNotComplete) {
@@ -432,8 +423,7 @@ TEST(Campaign, ResumingTwiceAppendsZeroNewRows) {
   // however often the campaign is rerun against the same file. (Error rows
   // used to be considered incomplete, so every rerun re-measured and
   // re-appended them.)
-  std::string path = ::testing::TempDir() + "/campaign_resume_twice.csv";
-  std::remove(path.c_str());
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::vector<CampaignVariant> variants = eightVariants();
   CampaignVariant broken;
   broken.name = "zz_broken";
@@ -473,15 +463,13 @@ TEST(Campaign, ResumingTwiceAppendsZeroNewRows) {
       EXPECT_EQ(countDataLines(), afterFirst) << "round " << round;
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, TruncatedCsvIsRepairedOnResume) {
   // A campaign killed mid-row leaves a torn final line. Reopening the sink
   // must terminate that line before appending, so the next row cannot
   // concatenate onto it and the file stays parseable.
-  std::string path = ::testing::TempDir() + "/campaign_truncated.csv";
-  std::remove(path.c_str());
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::vector<CampaignVariant> variants = eightVariants();
   {
     CampaignCsvSink sink(path);
@@ -528,11 +516,10 @@ TEST(Campaign, TruncatedCsvIsRepairedOnResume) {
     if (cells.size() == CampaignRunner::csvHeader().size()) ++fullRows;
   }
   EXPECT_EQ(fullRows, variants.size());  // N-1 intact + 1 re-measured
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, SinkRefusesMismatchedHeaderSchema) {
-  std::string path = ::testing::TempDir() + "/campaign_old_schema.csv";
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   {
     std::ofstream out(path);
     out << "# env.cpu_model=old machine\n";
@@ -540,7 +527,6 @@ TEST(Campaign, SinkRefusesMismatchedHeaderSchema) {
     out << "0,v0,ok,2.5\n";
   }
   EXPECT_THROW(CampaignCsvSink sink(path), McError);
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, ReadCompletedVariantsCountsEveryTerminalStatus) {
@@ -550,7 +536,7 @@ TEST(Campaign, ReadCompletedVariantsCountsEveryTerminalStatus) {
   // the CSV grows without bound. Only unknown statuses and rows narrower
   // than the schema (the runner always writes full-width rows; anything
   // shorter is a crash-torn remnant) are left for re-measurement.
-  std::string path = ::testing::TempDir() + "/campaign_completed.csv";
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::size_t width = CampaignRunner::csvHeader().size();
   // Pads a row's leading cells out to the schema's full width, the shape
   // every runner-written row has.
@@ -585,7 +571,6 @@ TEST(Campaign, ReadCompletedVariantsCountsEveryTerminalStatus) {
   EXPECT_TRUE(completed.count({4, "rejected_variant"}));
   EXPECT_FALSE(completed.count({5, "foreign_variant"}));
   EXPECT_FALSE(completed.count({6, "short_row"}));
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, ReadCompletedVariantsOfMissingFileIsEmpty) {
@@ -596,7 +581,7 @@ TEST(Campaign, ReadCompletedVariantsFiltersByRound) {
   // A halving search resumes per round: only rows tagged with the round
   // being re-run may be skipped — a variant screened in round 0 still has
   // to be re-measured at round 1's higher fidelity.
-  std::string path = ::testing::TempDir() + "/campaign_rounds.csv";
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   std::size_t width = CampaignRunner::csvHeader().size();
   auto fullRow = [width](const std::string& prefix, std::size_t given) {
     return prefix + std::string(width - given, ',') + "\n";
@@ -629,14 +614,13 @@ TEST(Campaign, ReadCompletedVariantsFiltersByRound) {
   // The round-agnostic overload still sees every terminal row.
   EXPECT_EQ(readCompletedVariants(path).size(), 3u);
   EXPECT_THROW(readCompletedVariants(path, -1), McError);
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, ReadCompletedVariantsTreatsLegacyFilesAsRoundZero) {
   // Pre-round-column CSVs (exhaustive sweeps from older builds) are all
   // baseline-fidelity rows: a round-0 filter accepts them, any later
   // round re-measures.
-  std::string path = ::testing::TempDir() + "/campaign_legacy_rounds.csv";
+  std::string path = uniqueTempDir("campaign") + "/campaign.csv";
   {
     std::ofstream out(path);
     out << "sequence,variant,status\n";
@@ -645,7 +629,6 @@ TEST(Campaign, ReadCompletedVariantsTreatsLegacyFilesAsRoundZero) {
   }
   EXPECT_EQ(readCompletedVariants(path, 0).size(), 2u);
   EXPECT_TRUE(readCompletedVariants(path, 1).empty());
-  std::remove(path.c_str());
 }
 
 TEST(Campaign, RoundTagStampsResultsAndCsvRows) {

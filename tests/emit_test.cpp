@@ -10,6 +10,7 @@ namespace {
 
 using testing::figure6Xml;
 using testing::generate;
+using testing::uniqueTempDir;
 
 std::vector<std::string> nonEmptyLines(const std::string& text) {
   std::vector<std::string> out;
@@ -138,7 +139,7 @@ TEST(EmitC, EmptyByDefault) {
 TEST(EmitC, CompilesStandalone) {
   // The emitted C must at least be valid C syntax for the system compiler.
   std::string c = emitCFor(figure6Xml(2, 2, false));
-  std::string path = ::testing::TempDir() + "/mt_emitc_test.c";
+  std::string path = uniqueTempDir("emitc") + "/kernel.c";
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -147,7 +148,6 @@ TEST(EmitC, CompilesStandalone) {
   }
   std::string cmd = "cc -std=c11 -O2 -fsyntax-only " + path + " 2>/dev/null";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << c;
-  std::remove(path.c_str());
 }
 
 }  // namespace

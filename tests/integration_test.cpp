@@ -19,6 +19,7 @@ using launcher::ArraySpec;
 using launcher::KernelRequest;
 using launcher::Measurement;
 using launcher::ProtocolOptions;
+using testing::uniqueTempDir;
 
 TEST(Integration, FullSection51StudyAtReducedScale) {
   // Generate the (Load|Store)+ family (unroll 1..4 -> 30 variants), run
@@ -106,7 +107,7 @@ TEST(Integration, MoveSemanticStudyMatchesPaperGrouping) {
 
 TEST(Integration, WrittenProgramsLoadFromDisk) {
   auto programs = testing::generate(testing::figure6Xml(2, 2, false));
-  std::string dir = ::testing::TempDir() + "/mt_integration_out";
+  std::string dir = uniqueTempDir("mt_integration_out");
   auto written = creator::writePrograms(programs, dir);
   ASSERT_EQ(written.size(), 1u);
   // The file round-trips through the launcher's file-based loader path.
@@ -120,7 +121,6 @@ TEST(Integration, WrittenProgramsLoadFromDisk) {
   request.arrays.push_back(ArraySpec{4096, 4096, 0});
   request.n = 1024;
   EXPECT_EQ(backend.invoke(*kernel, request).iterations, 1024u / 8 + 1);
-  for (const auto& path : written) std::remove(path.c_str());
 }
 
 TEST(Integration, SanitizeFileStemNeutralizesHostilePaths) {
@@ -139,7 +139,7 @@ TEST(Integration, WriteProgramsSanitizesStemsInsideOutputDir) {
   auto programs = testing::generate(testing::figure6Xml(2, 2, false));
   ASSERT_EQ(programs.size(), 1u);
   programs[0].name = "evil/../../escape";
-  std::string dir = ::testing::TempDir() + "/mt_sanitize_out";
+  std::string dir = uniqueTempDir("mt_sanitize_out");
   auto written = creator::writePrograms(programs, dir);
   ASSERT_EQ(written.size(), 1u);
   // The separators became '_', so the file stays inside `dir`.
@@ -147,7 +147,6 @@ TEST(Integration, WriteProgramsSanitizesStemsInsideOutputDir) {
       << written[0];
   std::ifstream in(written[0]);
   EXPECT_TRUE(in.good());
-  for (const auto& path : written) std::remove(path.c_str());
 }
 
 TEST(Integration, WriteProgramsRejectsDuplicateStems) {
@@ -156,7 +155,7 @@ TEST(Integration, WriteProgramsRejectsDuplicateStems) {
   programs.push_back(programs[0]);
   programs[0].name = "same/name";
   programs[1].name = "same_name";  // sanitizes to the same stem
-  std::string dir = ::testing::TempDir() + "/mt_duplicate_out";
+  std::string dir = uniqueTempDir("mt_duplicate_out");
   EXPECT_THROW(creator::writePrograms(programs, dir), McError);
 }
 

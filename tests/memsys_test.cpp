@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/memsys.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace microtools::sim {
 namespace {
@@ -196,6 +200,91 @@ TEST(MemSys, FrequencyScalingChangesOffcoreCycles) {
   std::uint64_t tFast = msFast.load(0, 0x7000, 8, 0).completeCycle;
   std::uint64_t tSlow = msSlow.load(0, 0x7000, 8, 0).completeCycle;
   EXPECT_GT(tFast, tSlow);  // more core cycles at the higher clock
+}
+
+// A seeded mixed stream on cores 0 and 1: sequential runs that train the
+// prefetcher, random lines over a footprint larger than L2, and line-
+// splitting stores. Returns every access result in order.
+std::vector<AccessResult> runStream(MemorySystem& ms, std::uint64_t seed,
+                                    std::uint64_t& cycle, int accesses) {
+  Rng rng(seed);
+  std::vector<AccessResult> results;
+  std::uint64_t cursor = 0x100000;
+  for (int i = 0; i < accesses; ++i) {
+    int core = static_cast<int>(rng.nextBelow(2));
+    std::uint64_t kind = rng.nextBelow(10);
+    std::uint64_t addr;
+    if (kind < 5) {
+      cursor += 16;
+      addr = cursor;
+    } else {
+      addr = 0x800000 + rng.nextBelow(1 << 21);
+    }
+    int bytes = kind == 9 ? 16 : 8;
+    AccessResult r = kind % 2 ? ms.store(core, addr, bytes, cycle)
+                              : ms.load(core, addr, bytes, cycle);
+    results.push_back(r);
+    cycle += rng.nextBelow(24);
+  }
+  return results;
+}
+
+void expectSameResults(const std::vector<AccessResult>& a,
+                       const std::vector<AccessResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].completeCycle, b[i].completeCycle) << "access " << i;
+    EXPECT_EQ(a[i].level, b[i].level) << "access " << i;
+    EXPECT_EQ(a[i].splitLine, b[i].splitLine) << "access " << i;
+  }
+}
+
+TEST(MemSys, RestoredSnapshotEqualsSimulatedState) {
+  // A runs a stream from the pre-state and snapshots; B starts from the
+  // same pre-state and restores that snapshot instead. Both must
+  // fingerprint equal and answer every later access identically.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MemorySystem a(testConfig());
+    std::uint64_t cycle = 0;
+    runStream(a, seed * 100, cycle, 3000);
+    a.stateFingerprint(cycle);  // the snapshot covers changes after this
+    MemorySystem b = a;
+    std::uint64_t preCycle = cycle;
+    runStream(a, seed * 100 + 1, cycle, 3000);
+    MemorySystem::Snapshot snapshot = a.snapshotTouched();
+    EXPECT_NE(a.stateFingerprint(cycle), b.stateFingerprint(cycle));
+    b.restore(snapshot);
+    EXPECT_EQ(a.stateFingerprint(cycle), b.stateFingerprint(cycle));
+    EXPECT_GT(cycle, preCycle);
+
+    std::uint64_t cycleA = cycle;
+    std::uint64_t cycleB = cycle;
+    expectSameResults(runStream(a, seed * 100 + 2, cycleA, 3000),
+                      runStream(b, seed * 100 + 2, cycleB, 3000));
+    EXPECT_EQ(a.stateFingerprint(cycleA), b.stateFingerprint(cycleB));
+  }
+}
+
+TEST(MemSys, ResetEqualsFreshMachine) {
+  // reset() reuses the cache storage; it must still be indistinguishable
+  // from a newly constructed machine, at any point of its fingerprint
+  // bookkeeping.
+  for (bool fingerprintFirst : {false, true}) {
+    MemorySystem used(testConfig());
+    std::uint64_t cycle = 0;
+    runStream(used, 11, cycle, 3000);
+    if (fingerprintFirst) used.stateFingerprint(cycle);
+    runStream(used, 12, cycle, 500);
+    used.reset();
+    MemorySystem fresh(testConfig());
+    EXPECT_EQ(used.stateFingerprint(0), fresh.stateFingerprint(0));
+    EXPECT_EQ(used.levelCount(MemLevel::Ram), 0u);
+    std::uint64_t cycleUsed = 0;
+    std::uint64_t cycleFresh = 0;
+    expectSameResults(runStream(used, 13, cycleUsed, 3000),
+                      runStream(fresh, 13, cycleFresh, 3000));
+  }
 }
 
 }  // namespace

@@ -31,23 +31,7 @@ namespace fs = std::filesystem;
 
 using testing::figure6Xml;
 using testing::generate;
-
-/// A fresh directory under the system temp dir, removed at scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    static int counter = 0;
-    path = (fs::temp_directory_path() /
-            ("microtools_native_test_" + std::to_string(getpid()) + "_" +
-             std::to_string(counter++)))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using testing::uniqueTempDir;
 
 /// Sets $CC for the scope and drops the identity memo on both edges, so the
 /// override takes effect immediately and never leaks into later tests.
@@ -198,9 +182,8 @@ TEST(Compile, SignalDeathIsDiagnosable) {
   // A compiler that dies by signal must produce an ExecutionError naming
   // the signal, not a generic failure (the old popen/pclose path compared
   // the raw status to 0 and lost that information).
-  TempDir dir;
-  fs::create_directories(dir.path);
-  std::string script = dir.path + "/killed-cc";
+  std::string dir = uniqueTempDir("killed_cc");
+  std::string script = dir + "/killed-cc";
   {
     std::ofstream out(script);
     out << "#!/bin/sh\nkill -SEGV $$\n";
@@ -267,10 +250,10 @@ TEST(Compile, BatchUniquifiesDuplicateFunctionNames) {
 }
 
 TEST(Compile, CacheHitMissAndCorruptionRoundTrip) {
-  TempDir cache;
+  std::string cache = uniqueTempDir("compile_cache");
   auto programs = generate(figure6Xml(4, 4, false));
   launcher::SourceUnit unit{"asm", programs[0].asmText, "microkernel"};
-  CompileOptions options{cache.path};
+  CompileOptions options{cache};
   std::vector<char> buffer(1 << 16, 0);
   void* ptrs[1] = {buffer.data()};
 
@@ -285,7 +268,7 @@ TEST(Compile, CacheHitMissAndCorruptionRoundTrip) {
     EXPECT_GE(spawnCount() - spawns, 1u);
     EXPECT_EQ(cold.call(4096, ptrs, 1), 4096 / 16 + 1);
     cachedSo = cold.sharedObjectPath();
-    EXPECT_EQ(fs::path(cachedSo).parent_path().string(), cache.path);
+    EXPECT_EQ(fs::path(cachedSo).parent_path().string(), cache);
 
     // Hit, simulating a fresh process: zero spawns — even the --version
     // probe is served by the persisted compiler.id record.
@@ -316,13 +299,13 @@ TEST(Compile, CacheHitMissAndCorruptionRoundTrip) {
 }
 
 TEST(Compile, BatchWarmCacheRerunSpawnsNothing) {
-  TempDir cache;
+  std::string cache = uniqueTempDir("compile_cache");
   auto programs = generate(figure6Xml(1, 4, false));
   std::vector<launcher::SourceUnit> units;
   for (const auto& p : programs) {
     units.push_back({"asm", p.asmText, p.functionName});
   }
-  CompileOptions options{cache.path};
+  CompileOptions options{cache};
   auto cold = CompileBatch(options).compile(units);
   ASSERT_EQ(cold.size(), units.size());
 
@@ -470,10 +453,10 @@ TEST(Backend, PipelinedNativeCampaignMatchesInlineCompilation) {
       launcher::variantsFromPrograms(programs);
   ASSERT_GE(variants.size(), 6u);
 
-  TempDir cache;
+  std::string cache = uniqueTempDir("compile_cache");
   launcher::BackendFactory factory = [&cache](int) {
     NativeBackendOptions options;
-    options.compileCacheDir = cache.path;
+    options.compileCacheDir = cache;
     return std::make_unique<NativeBackend>(std::move(options));
   };
   launcher::KernelRequest request;

@@ -10,9 +10,12 @@
 #include "sim/core.hpp"
 #include "sim/machine.hpp"
 #include "support/error.hpp"
+#include "test_helpers.hpp"
 
 namespace microtools::sim {
 namespace {
+
+using testing::uniqueTempDir;
 
 RunResult runProgram(const std::string& text, int n = 0,
                      std::vector<std::uint64_t> arrays = {}) {
@@ -94,7 +97,7 @@ TEST(Trace, EmitsIssueEvents) {
   MachineConfig machine = nehalemX5650DualSocket();
   MemorySystem ms(machine);
   CoreSim core(machine, ms, 0);
-  std::string path = ::testing::TempDir() + "/mt_trace_test.txt";
+  std::string path = uniqueTempDir("trace") + "/trace.txt";
   std::FILE* f = std::fopen(path.c_str(), "w+");
   ASSERT_NE(f, nullptr);
   core.setTrace(f);
@@ -107,7 +110,6 @@ TEST(Trace, EmitsIssueEvents) {
   ASSERT_NE(std::fgets(buffer, sizeof buffer, f), nullptr);
   EXPECT_NE(std::strstr(buffer, "ALU issue="), nullptr);
   std::fclose(f);
-  std::remove(path.c_str());
 }
 
 TEST(Config, TscConversionIdentityAtNominal) {

@@ -29,6 +29,8 @@
 namespace microtools {
 namespace {
 
+using testing::uniqueTempDir;
+
 struct CommandResult {
   int exitCode = -1;
   std::string output;
@@ -46,11 +48,7 @@ CommandResult run(const std::string& command) {
 }
 
 std::string writeTempXml(const std::string& content, const char* name) {
-  // ctest runs each TEST as its own process, possibly in parallel; a
-  // per-process path keeps concurrent tests from reading each other's
-  // half-written files.
-  std::string path = ::testing::TempDir() + "/" +
-                     std::to_string(::getpid()) + "_" + name;
+  std::string path = uniqueTempDir(name) + "/" + name;
   std::ofstream out(path);
   out << content;
   return path;
@@ -60,8 +58,7 @@ class ToolsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     xmlPath_ = writeTempXml(testing::figure6Xml(1, 4), "tools_test.xml");
-    outDir_ = ::testing::TempDir() + "/tools_test_out_" +
-              std::to_string(::getpid());
+    outDir_ = uniqueTempDir("tools_test_out");
   }
 
   std::string xmlPath_;
@@ -193,7 +190,7 @@ TEST_F(ToolsTest, LauncherCsvToFile) {
                 " --output " + outDir_)
                 .exitCode,
             0);
-  std::string csvPath = ::testing::TempDir() + "/tools_test.csv";
+  std::string csvPath = uniqueTempDir("tools_test") + "/tools_test.csv";
   CommandResult r = run(std::string(MT_MICROLAUNCHER_PATH) + " --input " +
                         outDir_ + "/loadstore_u1_seqL.s" +
                         " --array-bytes 8192 --csv " + csvPath);
@@ -203,7 +200,6 @@ TEST_F(ToolsTest, LauncherCsvToFile) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("cycles_per_iteration_min"), std::string::npos);
-  std::remove(csvPath.c_str());
 }
 
 TEST_F(ToolsTest, LauncherCampaignMode) {
@@ -252,8 +248,7 @@ TEST_F(ToolsTest, LauncherCampaignResumeSkipsCompletedRows) {
                 " --output " + outDir_)
                 .exitCode,
             0);
-  std::string csvPath = ::testing::TempDir() + "/tools_resume.csv";
-  std::remove(csvPath.c_str());
+  std::string csvPath = uniqueTempDir("tools_resume") + "/tools_resume.csv";
   std::string command = std::string(MT_MICROLAUNCHER_PATH) + " --campaign " +
                         outDir_ + " --jobs 2 --array-bytes 8192 --inner 1 "
                         "--outer 2 --max-repetitions 6 --csv " + csvPath;
@@ -282,14 +277,12 @@ TEST_F(ToolsTest, LauncherCampaignResumeSkipsCompletedRows) {
             std::string::npos)
       << second.output;
   EXPECT_EQ(countLines(), linesAfterFirst);
-  std::remove(csvPath.c_str());
 }
 
 TEST_F(ToolsTest, ExploreSecondRunIsFullyCached) {
   std::string small =
       writeTempXml(testing::figure6Xml(1, 2, false), "tools_explore.xml");
-  std::string cacheDir = ::testing::TempDir() + "/tools_explore_cache";
-  std::filesystem::remove_all(cacheDir);
+  std::string cacheDir = uniqueTempDir("tools_explore_cache");
   std::string command = std::string(MT_MICROTOOLS_PATH) + " explore " +
                         small + " --array-bytes 16384 --inner 1 --outer 3 "
                         "--max-repetitions 6 --top 5 --cache " + cacheDir;
@@ -308,14 +301,12 @@ TEST_F(ToolsTest, ExploreSecondRunIsFullyCached) {
   EXPECT_NE(second.output.find("2 cache hit(s), 0 measured"),
             std::string::npos)
       << second.output;
-  std::filesystem::remove_all(cacheDir);
 }
 
 TEST_F(ToolsTest, ExploreStreamWithParallelGenerationMatchesBatch) {
   std::string small =
       writeTempXml(testing::figure6Xml(1, 2, false), "tools_stream.xml");
-  std::string cacheDir = ::testing::TempDir() + "/tools_stream_cache";
-  std::filesystem::remove_all(cacheDir);
+  std::string cacheDir = uniqueTempDir("tools_stream_cache");
   std::string command = std::string(MT_MICROTOOLS_PATH) + " explore " +
                         small + " --stream --generate-jobs 4 "
                         "--array-bytes 16384 --inner 1 --outer 3 "
@@ -338,7 +329,6 @@ TEST_F(ToolsTest, ExploreStreamWithParallelGenerationMatchesBatch) {
                                "0 record file read(s)"),
             std::string::npos)
       << second.output;
-  std::filesystem::remove_all(cacheDir);
 }
 
 TEST_F(ToolsTest, ExploreStreamRejectsHalvingSearch) {
@@ -366,10 +356,9 @@ TEST_F(ToolsTest, CreatorGenerateJobsKeepsNamesIdentical) {
 TEST_F(ToolsTest, ExploreWritesCampaignCsvAndReportFile) {
   std::string small =
       writeTempXml(testing::figure6Xml(1, 2, false), "tools_explore2.xml");
-  std::string csvPath = ::testing::TempDir() + "/tools_explore.csv";
-  std::string reportPath = ::testing::TempDir() + "/tools_explore_report.csv";
-  std::remove(csvPath.c_str());
-  std::remove(reportPath.c_str());
+  std::string dir = uniqueTempDir("tools_explore");
+  std::string csvPath = dir + "/tools_explore.csv";
+  std::string reportPath = dir + "/tools_explore_report.csv";
   CommandResult r = run(std::string(MT_MICROTOOLS_PATH) + " explore " +
                         small + " --no-cache --array-bytes 16384 --inner 1 "
                         "--outer 3 --max-repetitions 6 --csv " + csvPath +
@@ -389,17 +378,12 @@ TEST_F(ToolsTest, ExploreWritesCampaignCsvAndReportFile) {
   std::string reportText((std::istreambuf_iterator<char>(reportIn)),
                          std::istreambuf_iterator<char>());
   EXPECT_NE(reportText.find("rank,variant"), std::string::npos);
-  std::remove(csvPath.c_str());
-  std::remove(reportPath.c_str());
 }
 
 TEST_F(ToolsTest, ServeDaemonShardsExploreWorkerOverUnixSocket) {
   std::string small =
       writeTempXml(testing::figure6Xml(1, 2, false), "tools_serve.xml");
-  std::string dir = ::testing::TempDir() + "/tools_serve_" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  std::string dir = uniqueTempDir("tools_serve");
   std::string addr = "unix:" + dir + "/serve.sock";
 
   // One shell script drives the whole lifecycle: daemon up, wait for the
@@ -442,7 +426,6 @@ TEST_F(ToolsTest, ServeDaemonShardsExploreWorkerOverUnixSocket) {
   std::string reportText((std::istreambuf_iterator<char>(report)),
                          std::istreambuf_iterator<char>());
   EXPECT_NE(reportText.find("rank,variant"), std::string::npos) << reportText;
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ToolsTest, MicrotoolsUsageAndUnknownSubcommand) {
