@@ -91,10 +91,12 @@ class SimBackend final : public Backend {
   /// state must reproduce this result bit for bit — so replay returns
   /// `result` and restores the recorded post-state snapshot, shifted
   /// forward by the elapsed clock difference. The snapshot holds only the
-  /// cache sets the run changed plus the small timing state, so recording
-  /// and replaying cost O(state touched), not O(machine). Warm protocols
-  /// commonly settle into short state cycles (period 1 or 2), so a small
-  /// table rather than a single slot.
+  /// cache sets the run changed plus the timing state, so recording and
+  /// replaying cost O(state touched), not O(machine): ~16 KiB for a warm
+  /// invoke at 16 KiB, ~3.6 MiB at 1 MiB on nehalem_x5650_2s, nearly all of
+  /// it L3 sets and the fill table (DESIGN.md "Warm-invoke memoization").
+  /// Warm protocols commonly settle into short state cycles (period 1 or
+  /// 2), so a small table rather than a single slot.
   struct MemoEntry {
     std::uint64_t coreCycles = 0;
     std::uint64_t preClock = 0;  // clock_ when the invoke started

@@ -30,7 +30,7 @@ bool CacheLevel::lookup(std::uint64_t lineAddr) {
   std::uint64_t tag = tagOf(lineAddr);
   Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
+    if (base[w].tag == tag) {  // an empty way never matches a line
       base[w].lastUse = clock_;
       markDirty(set);
       ++hits_;
@@ -46,7 +46,7 @@ bool CacheLevel::contains(std::uint64_t lineAddr) const {
   std::uint64_t tag = tagOf(lineAddr);
   const Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+    if (base[w].tag == tag) return true;
   }
   return false;
 }
@@ -58,7 +58,7 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
   Way* base = setBase(set);
   markDirty(set);
   for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
+    if (base[w].tag == tag) {
       base[w].lastUse = clock_;  // already present: refresh
       return kNoEviction;
     }
@@ -66,7 +66,7 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
   // Prefer an invalid way; otherwise evict the LRU valid way.
   int victim = -1;
   for (int w = 0; w < ways_; ++w) {
-    if (!base[w].valid) {
+    if (!base[w].valid()) {
       victim = w;
       break;
     }
@@ -77,12 +77,8 @@ std::uint64_t CacheLevel::insert(std::uint64_t lineAddr) {
       if (base[w].lastUse < base[victim].lastUse) victim = w;
     }
   }
-  std::uint64_t evicted = kNoEviction;
-  if (base[victim].valid) {
-    evicted = base[victim].tag;
-  }
+  std::uint64_t evicted = base[victim].tag;  // kNoEviction if it was empty
   base[victim].tag = tag;
-  base[victim].valid = true;
   base[victim].lastUse = clock_;
   return evicted;
 }
@@ -92,8 +88,8 @@ bool CacheLevel::invalidate(std::uint64_t lineAddr) {
   std::uint64_t tag = tagOf(lineAddr);
   Way* base = setBase(set);
   for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].valid = false;
+    if (base[w].tag == tag) {
+      base[w].tag = kNoEviction;
       markDirty(set);
       return true;
     }
@@ -109,8 +105,8 @@ void CacheLevel::clear() {
     if (setHash_[set] == 0 && !dirtyMark_[set]) continue;
     Way* base = setBase(set);
     for (int w = 0; w < ways_; ++w) {
-      if (!base[w].valid) continue;
-      base[w].valid = false;
+      if (!base[w].valid()) continue;
+      base[w].tag = kNoEviction;
       markDirty(set);
     }
   }
@@ -124,7 +120,7 @@ std::uint64_t CacheLevel::hashSet(std::uint64_t set,
   const Way* base = setBase(set);
   valid.clear();
   for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid) valid.push_back(&base[w]);
+    if (base[w].valid()) valid.push_back(&base[w]);
   }
   if (valid.empty()) return 0;  // empty sets hash as absent
   // Recency order (oldest first): the victim scan and every future hit
@@ -135,12 +131,8 @@ std::uint64_t CacheLevel::hashSet(std::uint64_t set,
   hash::Fnv1a h;
   h.u64(set).u64(valid.size());
   for (const Way* w : valid) h.u64(w->tag);
-  // The fingerprint sums the per-set hashes, so finish each with a full
-  // avalanche (splitmix64) to keep the sum free of FNV's linear structure.
-  std::uint64_t x = h.value();
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return (x ^ (x >> 31)) | 1;  // odd, so only an empty set hashes as 0
+  // The fingerprint sums the per-set hashes.
+  return hash::mix64(h.value()) | 1;  // odd: only an empty set hashes as 0
 }
 
 std::uint64_t CacheLevel::fingerprint() {

@@ -17,10 +17,13 @@ namespace microtools::sim {
 /// statistics are outside that contract: restore() does not splice them, and
 /// nothing in MemorySystem reads them.
 class CacheLevel {
+  /// 16 bytes: an empty way holds the tag kNoEviction. Line addresses are
+  /// byte addresses divided by the line size, so no real line has that tag.
   struct Way {
-    std::uint64_t tag = 0;
+    std::uint64_t tag = kNoEviction;
     std::uint64_t lastUse = 0;
-    bool valid = false;
+
+    bool valid() const { return tag != kNoEviction; }
   };
 
  public:
@@ -39,7 +42,8 @@ class CacheLevel {
 
   /// Inserts a line, evicting the LRU way if the set is full.
   /// Returns the evicted line address, or kNoEviction when a free way was
-  /// available or the line was already present.
+  /// available or the line was already present. `lineAddr` must not be
+  /// kNoEviction, which marks an empty way.
   std::uint64_t insert(std::uint64_t lineAddr);
 
   /// Removes a line if present; returns whether it was.

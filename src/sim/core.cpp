@@ -1,6 +1,8 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
 
 #include "support/error.hpp"
@@ -27,6 +29,13 @@ CoreSim::CoreSim(const MachineConfig& config, MemorySystem& memsys,
   setPorts(Unit::Branch, config_.branchPorts);
   fillBufferFree_.assign(static_cast<std::size_t>(config_.fillBuffers), 0);
   lastWriter_.fill(-1);
+  // dispatch() keeps at most max(robSize, 2) uops in flight.
+  std::size_t ring = std::bit_ceil(
+      static_cast<std::size_t>(std::max(config_.robSize, 2)));
+  lineShift_ = std::countr_zero(static_cast<unsigned>(config_.lineBytes));
+  rob_.resize(ring);
+  waiting_.resize(ring);
+  robMask_ = ring - 1;
 }
 
 void CoreSim::start(const asmparse::Program& program, int n,
@@ -46,8 +55,9 @@ void CoreSim::start(const asmparse::Program& program, int n,
   }
   flagsResult_ = 0;
   flagsA_ = flagsB_ = 0;
-  rob_.clear();
-  headId_ = 0;
+  headId_ = tailId_ = 0;
+  waitHead_ = waitTail_ = 0;
+  completions_.clear();
   lastWriter_.fill(-1);
   for (auto& ports : portFree_) {
     std::fill(ports.begin(), ports.end(), startCycle);
@@ -281,8 +291,9 @@ void CoreSim::noteWrite(int reg, std::uint64_t producerId) {
 }
 
 std::uint64_t CoreSim::pushUop(Uop uop) {
-  std::uint64_t id = headId_ + rob_.size();
-  rob_.push_back(uop);
+  std::uint64_t id = tailId_++;
+  uopAt(id) = uop;
+  waiting_[waitTail_++ & robMask_] = id;
   ++uopCount_;
   return id;
 }
@@ -292,30 +303,39 @@ bool CoreSim::depsReady(const Uop& uop, std::uint64_t cycle) const {
     std::uint64_t depId = static_cast<std::uint64_t>(
         uop.deps[static_cast<std::size_t>(i)]);
     if (depId < headId_) continue;  // retired => complete
-    const Uop& producer = rob_[depId - headId_];
+    const Uop& producer = uopAt(depId);
     if (!producer.issued || producer.completeCycle > cycle) return false;
   }
   return true;
 }
 
-bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
-                          std::uint64_t cycle) {
-  if (!depsReady(uop, cycle)) return false;
+bool CoreSim::allPortsBusy(int unit, std::uint64_t cycle) const {
+  for (std::uint64_t f : portFree_[unit]) {
+    if (f <= cycle) return false;
+  }
+  return true;
+}
 
+bool CoreSim::allFillBuffersBusy(std::uint64_t cycle) const {
+  for (std::uint64_t f : fillBufferFree_) {
+    if (f <= cycle) return false;
+  }
+  return true;
+}
+
+void CoreSim::issueOne(Uop& uop, std::uint64_t globalId, std::uint64_t cycle,
+                       bool needsFillBuffer) {
+  // issue() checked that a port (and, if needed, a fill buffer) is free.
   auto& ports = portFree_[static_cast<int>(uop.unit)];
   auto portIt = std::min_element(ports.begin(), ports.end());
-  if (*portIt > cycle) return false;
 
   std::uint64_t completion = cycle + static_cast<std::uint64_t>(uop.latency);
   std::uint64_t portBusyUntil = cycle + 1;
 
   if (uop.isMem) {
-    bool needsFillBuffer =
-        memsys_.peekLevel(coreId_, uop.addr) != MemLevel::L1;
     std::vector<std::uint64_t>::iterator fb = fillBufferFree_.end();
     if (needsFillBuffer) {
       fb = std::min_element(fillBufferFree_.begin(), fillBufferFree_.end());
-      if (*fb > cycle) return false;  // MLP limit reached
     }
     if (uop.unit == Unit::Load) {
       AccessResult res = memsys_.load(coreId_, uop.addr, uop.bytes, cycle);
@@ -359,6 +379,9 @@ bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
                 : portBusyUntil;
   uop.issued = true;
   uop.completeCycle = completion;
+  completions_.push_back(completion);
+  std::push_heap(completions_.begin(), completions_.end(),
+                 std::greater<>());
   lastCompletion_ = std::max(lastCompletion_, completion);
   if (trace_) {
     static const char* kUnitNames[] = {"LD", "ST", "ALU", "FPA",
@@ -370,48 +393,86 @@ bool CoreSim::tryIssueOne(Uop& uop, std::uint64_t globalId,
                  static_cast<unsigned long long>(completion),
                  static_cast<unsigned long long>(uop.addr));
   }
-  return true;
 }
 
 void CoreSim::retire(std::uint64_t cycle) {
   int retired = 0;
-  while (!rob_.empty() && retired < config_.issueWidth) {
-    const Uop& head = rob_.front();
+  while (headId_ != tailId_ && retired < config_.issueWidth) {
+    const Uop& head = uopAt(headId_);
     if (!head.issued || head.completeCycle > cycle) break;
-    rob_.pop_front();
     ++headId_;
     ++retired;
   }
 }
 
 void CoreSim::issue(std::uint64_t cycle) {
+  // A uop issues when a port of its unit is free, its producers have
+  // completed, and, if its line is not in L1, a fill buffer is free. The
+  // unit check comes first and is kept per cycle as a bitmask, since within
+  // a cycle ports and fill buffers only get busier; checking in any order
+  // is exact, because a uop that cannot issue changes nothing.
+  constexpr unsigned kAllUnits = (1u << kNumUnits) - 1;
+  unsigned busy = 0;
+  for (int unit = 0; unit < kNumUnits; ++unit) {
+    if (allPortsBusy(unit, cycle)) busy |= 1u << unit;
+  }
+  bool fillBuffersBusy = allFillBuffersBusy(cycle);
+  // The last line found missing from L1. The loads of a stream share
+  // lines, and L1 changes only when a memory uop issues, which forgets it.
+  std::uint64_t missLine = kNoLine;
   int issued = 0;
-  int examined = 0;
   bool olderStorePending = false;
   // Only the oldest rsEntries un-issued uops are visible to the scheduler
   // (Nehalem's 36-entry reservation station); this also bounds the scan.
-  for (std::size_t i = 0; i < rob_.size() && issued < config_.issueWidth &&
-                          examined < config_.rsEntries;
-       ++i) {
-    Uop& uop = rob_[i];
-    if (uop.issued) continue;
-    ++examined;
+  std::uint64_t window =
+      waitHead_ + static_cast<std::uint64_t>(std::max(config_.rsEntries, 0));
+  std::uint64_t k = waitHead_;
+  for (; k != waitTail_ && k != window && busy != kAllUnits &&
+         issued < config_.issueWidth;
+       ++k) {
+    std::uint64_t id = waiting_[k & robMask_];
+    Uop& uop = uopAt(id);
     // Stores issue in order among themselves (store-buffer FIFO).
     if (uop.unit == Unit::Store && olderStorePending) continue;
-    bool ok = tryIssueOne(uop, headId_ + i, cycle);
-    if (ok) {
+    int unit = static_cast<int>(uop.unit);
+    bool ready = !((busy >> unit) & 1u) && depsReady(uop, cycle);
+    bool needsFillBuffer = false;
+    if (ready && uop.isMem) {
+      std::uint64_t line = uop.addr >> lineShift_;
+      needsFillBuffer = line == missLine || !memsys_.inL1(coreId_, uop.addr);
+      if (needsFillBuffer) missLine = line;
+      ready = !(needsFillBuffer && fillBuffersBusy);  // MLP limit
+    }
+    if (ready) {
+      issueOne(uop, id, cycle, needsFillBuffer);
       ++issued;
+      if (allPortsBusy(unit, cycle)) busy |= 1u << unit;
+      if (uop.isMem) {
+        fillBuffersBusy = allFillBuffersBusy(cycle);
+        missLine = kNoLine;
+      }
     } else if (uop.unit == Unit::Store) {
       olderStorePending = true;
     }
   }
+  if (issued == 0) return;
+  // Drop the issued ids from the visited prefix [waitHead_, k), keeping the
+  // rest in program order against the unvisited tail.
+  std::uint64_t keep = k;
+  for (std::uint64_t j = k; j-- != waitHead_;) {
+    std::uint64_t id = waiting_[j & robMask_];
+    if (!uopAt(id).issued) waiting_[--keep & robMask_] = id;
+  }
+  waitHead_ = keep;
 }
 
 void CoreSim::dispatch(std::uint64_t cycle) {
   if (doneDispatching_ || cycle < dispatchStallUntil_) return;
   int dispatched = 0;
   while (dispatched < config_.issueWidth && !doneDispatching_) {
-    if (rob_.size() + 2 > static_cast<std::size_t>(config_.robSize)) break;
+    if (tailId_ - headId_ + 2 > static_cast<std::uint64_t>(config_.robSize)) {
+      break;
+    }
     if (pc_ >= program_->instructions.size()) {
       doneDispatching_ = true;
       break;
@@ -590,14 +651,13 @@ void CoreSim::dispatch(std::uint64_t cycle) {
 
 void CoreSim::tick(std::uint64_t cycle) {
   if (finished_) return;
-  std::uint64_t robBefore = headId_ + rob_.size();
+  std::uint64_t tailBefore = tailId_;
   std::uint64_t headBefore = headId_;
   retire(cycle);
   issue(cycle);
   dispatch(cycle);
-  bool progressed = (headId_ != headBefore) ||
-                    (headId_ + rob_.size() != robBefore);
-  if (doneDispatching_ && rob_.empty()) {
+  bool progressed = headId_ != headBefore || tailId_ != tailBefore;
+  if (doneDispatching_ && headId_ == tailId_) {
     finished_ = true;
     endCycle_ = std::max(lastCompletion_, cycle);
     nextEvent_ = kFar;
@@ -607,16 +667,21 @@ void CoreSim::tick(std::uint64_t cycle) {
 }
 
 void CoreSim::computeNextEvent(std::uint64_t cycle, bool progressed) {
+  // Completions at or before `cycle` belong to uops that can already
+  // retire or feed a dependant; the rest are exactly the in-flight ones.
+  while (!completions_.empty() && completions_.front() <= cycle) {
+    std::pop_heap(completions_.begin(), completions_.end(), std::greater<>());
+    completions_.pop_back();
+  }
   if (progressed) {
     nextEvent_ = cycle + 1;
     return;
   }
-  std::uint64_t next = kFar;
-  for (const Uop& uop : rob_) {
-    if (uop.issued && uop.completeCycle > cycle) {
-      next = std::min(next, uop.completeCycle);
-    }
-  }
+  // The earliest cycle at which anything can change: a completion, the
+  // end of a dispatch stall, or a port or fill buffer coming free. It is
+  // never later than the next cycle tick() could make progress in; an
+  // earlier one would only cost a tick that changes nothing.
+  std::uint64_t next = completions_.empty() ? kFar : completions_.front();
   if (dispatchStallUntil_ > cycle) {
     next = std::min(next, dispatchStallUntil_);
   }

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "asmparse/asmparse.hpp"
@@ -88,6 +87,8 @@ class CoreSim {
   enum class Unit : std::uint8_t {
     Load, Store, Alu, FpAdd, FpMul, FpDiv, Branch
   };
+  static constexpr int kNumUnits = 7;
+  static constexpr std::uint64_t kNoLine = ~0ull;
 
   struct Uop {
     Unit unit = Unit::Alu;
@@ -114,7 +115,13 @@ class CoreSim {
   void computeNextEvent(std::uint64_t cycle, bool progressed);
 
   bool depsReady(const Uop& uop, std::uint64_t cycle) const;
-  bool tryIssueOne(Uop& uop, std::uint64_t globalId, std::uint64_t cycle);
+  void issueOne(Uop& uop, std::uint64_t globalId, std::uint64_t cycle,
+                bool needsFillBuffer);
+  bool allPortsBusy(int unit, std::uint64_t cycle) const;
+  bool allFillBuffersBusy(std::uint64_t cycle) const;
+
+  Uop& uopAt(std::uint64_t id) { return rob_[id & robMask_]; }
+  const Uop& uopAt(std::uint64_t id) const { return rob_[id & robMask_]; }
 
   // -- functional execution --------------------------------------------------
   std::int64_t readGpr(const isa::PhysReg& reg) const;
@@ -143,12 +150,25 @@ class CoreSim {
   std::uint64_t flagsA_ = 0;         // unsigned dst operand (for jb/ja)
   std::uint64_t flagsB_ = 0;         // unsigned src operand
 
-  // Timing state.
-  std::deque<Uop> rob_;
-  std::uint64_t headId_ = 0;                 // global id of rob_.front()
+  // Timing state. The ROB is a power-of-two ring indexed by global uop id:
+  // uops [headId_, tailId_) are in flight, and id lives at rob_[id &
+  // robMask_]. waiting_ is a ring (same mask) holding the ids of the
+  // dispatched but un-issued uops in program order, [waitHead_, waitTail_),
+  // so issue() visits only the uops the scheduler window can see.
+  std::vector<Uop> rob_;
+  std::uint64_t robMask_ = 0;
+  std::uint64_t headId_ = 0;
+  std::uint64_t tailId_ = 0;
+  std::vector<std::uint64_t> waiting_;
+  std::uint64_t waitHead_ = 0;
+  std::uint64_t waitTail_ = 0;
+  // Min-heap of the completion cycles of issued uops; entries at or before
+  // the current cycle are dropped lazily.
+  std::vector<std::uint64_t> completions_;
   std::array<std::int64_t, kNumRegs> lastWriter_{};  // -1 = none in flight
-  std::vector<std::uint64_t> portFree_[7];   // per Unit
+  std::vector<std::uint64_t> portFree_[kNumUnits];   // per Unit
   std::vector<std::uint64_t> fillBufferFree_;
+  int lineShift_ = 6;  // log2(lineBytes)
   std::array<RecentStore, 16> recentStores_{};
   std::size_t recentStoreNext_ = 0;
   std::uint64_t dispatchStallUntil_ = 0;

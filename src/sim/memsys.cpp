@@ -1,11 +1,88 @@
 #include "sim/memsys.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
 namespace microtools::sim {
+
+std::size_t FillTable::slotOf(std::uint64_t line) const {
+  if (slots_.empty()) return kNone;
+  std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(line);; i = (i + 1) & mask) {
+    if (slots_[i].line == line) return i;
+    if (slots_[i].line == kEmpty) return kNone;
+  }
+}
+
+std::optional<std::uint64_t> FillTable::find(std::uint64_t line) const {
+  std::size_t i = slotOf(line);
+  if (i == kNone) return std::nullopt;
+  return slots_[i].arrival + base_;
+}
+
+void FillTable::set(std::uint64_t line, std::uint64_t arrival) {
+  // Keep the load factor at most 3/4 so probe runs stay short.
+  if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+  std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(line);
+  while (slots_[i].line != kEmpty && slots_[i].line != line) {
+    i = (i + 1) & mask;
+  }
+  if (slots_[i].line == kEmpty) ++size_;
+  slots_[i] = Slot{line, arrival - base_};
+}
+
+bool FillTable::erase(std::uint64_t line) {
+  std::size_t hole = slotOf(line);
+  if (hole == kNone) return false;
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless its home lies cyclically in (hole, j], where it would
+  // become unreachable. No tombstones, so lookups stay short forever.
+  std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].line != kEmpty;
+       j = (j + 1) & mask) {
+    std::size_t h = home(slots_[j].line);
+    bool stays = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (stays) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return true;
+}
+
+void FillTable::clear() {
+  if (size_ == 0) return;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
+}
+
+void FillTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  homeShift_ = 64 - std::countr_zero(slots_.size());
+  size_ = 0;
+  std::uint64_t base = base_;
+  base_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.line != kEmpty) set(slot.line, slot.arrival + base);
+  }
+}
+
+std::uint64_t FillTable::fingerprint(std::uint64_t clock) const {
+  std::uint64_t sum = 0;
+  for (const Slot& slot : slots_) {
+    if (slot.line == kEmpty) continue;
+    std::uint64_t arrival = slot.arrival + base_;
+    std::uint64_t rel = arrival > clock ? arrival - clock : 0;
+    sum += hash::mix64(hash::mix64(slot.line) ^ rel);
+  }
+  return sum;
+}
 
 MemorySystem::MemorySystem(const MachineConfig& config) : config_(config) {
   if (config_.sockets <= 0 || config_.coresPerSocket <= 0) {
@@ -63,7 +140,7 @@ MemLevel MemorySystem::peekLevel(int coreId, std::uint64_t addr) const {
   const CorePrivate& core = cores_[static_cast<std::size_t>(coreId)];
   std::uint64_t line = lineOf(addr);
   if (core.l1.contains(line)) return MemLevel::L1;
-  if (core.l2.contains(line) || core.pendingFills.count(line)) {
+  if (core.l2.contains(line) || core.pendingFills.contains(line)) {
     return MemLevel::L2;
   }
   const Socket& socket = sockets_[static_cast<std::size_t>(socketOfCore(coreId))];
@@ -103,7 +180,7 @@ void MemorySystem::maybePrefetch(int coreId, std::uint64_t missLine,
     // physical mapping of the next page is unknown); the stream re-arms
     // after the boundary. This caps single-stream bandwidth realistically.
     if (line / linesPerPage != missLine / linesPerPage) break;
-    if (core.l2.contains(line) || core.pendingFills.count(line)) continue;
+    if (core.l2.contains(line) || core.pendingFills.contains(line)) continue;
     std::uint64_t arrival;
     if (l3Socket.l3.lookup(line)) {
       std::uint64_t start = std::max(cycle, l3Socket.l3PortFree);
@@ -119,7 +196,7 @@ void MemorySystem::maybePrefetch(int coreId, std::uint64_t missLine,
       l3Socket.l3.insert(line);
     }
     core.l2.insert(line);
-    core.pendingFills[line] = arrival;
+    core.pendingFills.set(line, arrival);
     ++prefetches_;
   }
 }
@@ -143,11 +220,10 @@ AccessResult MemorySystem::fetchLine(int coreId, std::uint64_t lineAddr,
   maybePrefetch(coreId, lineAddr, cycle);
   // A line still in flight from the prefetcher counts as an L2 hit that may
   // have to wait for the fill to arrive.
-  if (auto it = core.pendingFills.find(lineAddr);
-      it != core.pendingFills.end()) {
-    std::uint64_t arrival = it->second;
+  if (std::optional<std::uint64_t> pending = core.pendingFills.find(lineAddr)) {
+    std::uint64_t arrival = *pending;
     if (arrival <= cycle) {
-      core.pendingFills.erase(it);
+      core.pendingFills.erase(lineAddr);
     } else {
       result.level = MemLevel::L2;
       result.completeCycle = std::max(cycle + l1Latency + l2Latency,
@@ -274,13 +350,10 @@ std::uint64_t MemorySystem::stateFingerprint(std::uint64_t clock) {
     h.u64(rel(core.l2PortFree));
     h.u64(core.lastMissLine);
     h.u64(static_cast<std::uint64_t>(core.streak));
-    // Arrived-but-unconsumed fills still gate maybePrefetch via their map
-    // presence, so they are hashed (with relative arrival 0) rather than
-    // dropped.
-    h.u64(core.pendingFills.size());
-    for (const auto& [line, arrival] : core.pendingFills) {
-      h.u64(line).u64(rel(arrival));
-    }
+    // Arrived-but-unconsumed fills still gate maybePrefetch via their
+    // table presence, so they are hashed (with relative arrival 0) rather
+    // than dropped.
+    h.u64(core.pendingFills.size()).u64(core.pendingFills.fingerprint(clock));
   }
   for (Socket& socket : sockets_) {
     h.u64(socket.l3.fingerprint());
@@ -336,7 +409,7 @@ void MemorySystem::creditReplayedAccesses(const std::uint64_t levelDeltas[5],
 void MemorySystem::translateInFlight(std::uint64_t delta) {
   for (CorePrivate& core : cores_) {
     core.l2PortFree += delta;
-    for (auto& [line, arrival] : core.pendingFills) arrival += delta;
+    core.pendingFills.shift(delta);
   }
   for (Socket& socket : sockets_) {
     socket.l3PortFree += delta;

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +20,60 @@ struct AccessResult {
   bool splitLine = false;           ///< access crossed a cache line
 };
 
+/// Lines in flight from one core's L2 streamer: line -> arrival cycle.
+///
+/// A flat open-addressing table (linear probing, backward-shift deletion)
+/// rather than a node-based map, because SimBackend's memo copies it on
+/// every snapshot and restore: at 1 MiB it holds ~16,000 lines, and a copy
+/// is now one memcpy of the slot array. Arrivals are stored relative to a
+/// common base, so shift() moves every arrival in O(1).
+class FillTable {
+ public:
+  bool contains(std::uint64_t line) const { return slotOf(line) != kNone; }
+
+  /// Arrival cycle of `line`, if it is in the table.
+  std::optional<std::uint64_t> find(std::uint64_t line) const;
+
+  /// Inserts `line` or overwrites its arrival. `line` must not be ~0.
+  void set(std::uint64_t line, std::uint64_t arrival);
+
+  /// Removes `line`; returns whether it was present.
+  bool erase(std::uint64_t line);
+
+  void clear();
+
+  std::size_t size() const { return size_; }
+
+  /// Adds `delta` to every arrival.
+  void shift(std::uint64_t delta) { base_ += delta; }
+
+  /// Order-independent digest of the entries, with each arrival taken
+  /// relative to `clock` (an arrival at or before `clock` digests as 0):
+  /// the same contents fingerprint equal whatever the insertion history.
+  std::uint64_t fingerprint(std::uint64_t clock) const;
+
+ private:
+  struct Slot {
+    std::uint64_t line = kEmpty;
+    std::uint64_t arrival = 0;  // minus base_
+  };
+  static constexpr std::uint64_t kEmpty = ~0ull;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  std::size_t home(std::uint64_t line) const {
+    // Fibonacci hashing: consecutive lines land far apart.
+    return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >>
+                                    homeShift_);
+  }
+  std::size_t slotOf(std::uint64_t line) const;
+  void grow();
+
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  std::size_t size_ = 0;
+  int homeShift_ = 64;       // 64 - log2(slots_.size())
+  std::uint64_t base_ = 0;
+};
+
 /// The full memory system: per-core L1/L2 with an L2 stream prefetcher,
 /// per-socket shared L3, per-socket memory channels with occupancy-based
 /// bandwidth, and NUMA home-socket routing with a QPI hop penalty.
@@ -28,15 +82,21 @@ struct AccessResult {
 /// MachineConfig converts uncore nanosecond latencies at construction so a
 /// core-frequency change (Figure 13) rescales exactly the off-core part.
 class MemorySystem {
-  /// Per-core and per-socket state outside the caches. It is small, so a
-  /// Snapshot copies all of it.
+  /// Per-core and per-socket state outside the caches; a Snapshot copies
+  /// all of it. It is not small: on a 1 MiB stream `pendingFills` holds
+  /// ~16,100 lines, a 32,768-slot table of 512 KiB, which is why the table
+  /// is flat. (The L3 sets such a stream touches are the other big part of
+  /// a snapshot: all 12,288 sets x 16 ways x 16 B, 3 MiB, on
+  /// nehalem_x5650_2s.)
   struct CoreTiming {
     std::uint64_t l2PortFree = 0;  // L2->L1 fill bandwidth
     // Stream prefetcher state.
     std::uint64_t lastMissLine = ~0ull;
     int streak = 0;
-    // Lines being prefetched into L2: line -> arrival cycle.
-    std::map<std::uint64_t, std::uint64_t> pendingFills;
+    // Lines being prefetched into L2. An entry lives until a demand miss
+    // finds it arrived, so it can outlive its line's L2 eviction (see
+    // DESIGN.md "Simulator calibration notes").
+    FillTable pendingFills;
   };
   struct SocketTiming {
     std::vector<std::uint64_t> channelFree;
@@ -53,9 +113,15 @@ class MemorySystem {
   void setHomeSocket(std::uint64_t base, std::uint64_t size, int socket);
 
   /// Peeks at the level a load from `addr` would currently hit, without
-  /// changing any state. Used by the core model to reserve fill buffers
-  /// before committing to an access.
+  /// changing any state (an inspection helper: the core model asks only
+  /// inL1()).
   MemLevel peekLevel(int coreId, std::uint64_t addr) const;
+
+  /// Whether the line holding `addr` is in the L1 of `coreId`: the core
+  /// model's test for whether an access needs a fill buffer.
+  bool inL1(int coreId, std::uint64_t addr) const {
+    return cores_[static_cast<std::size_t>(coreId)].l1.contains(lineOf(addr));
+  }
 
   /// Performs a load of `bytes` at `addr`, issued at `cycle`.
   AccessResult load(int coreId, std::uint64_t addr, int bytes,

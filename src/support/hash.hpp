@@ -41,4 +41,13 @@ std::uint64_t fnv1a(std::string_view s);
 /// Renders a 64-bit value as 16 lowercase hex digits.
 std::string toHex(std::uint64_t v);
 
+/// splitmix64's finalizer: a full avalanche of one word. Digests that are
+/// *sums* of per-item hashes (order-independent fingerprints) finish each
+/// item with it so the sum keeps none of FNV's linear structure.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace microtools::hash

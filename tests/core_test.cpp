@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "asmparse/asmparse.hpp"
 #include "sim/core.hpp"
 #include "support/error.hpp"
@@ -217,6 +221,29 @@ TEST(CoreTiming, SandyBridgeDualLoadPortsAreFaster) {
   double nhPer = static_cast<double>(nh.coreCycles) / nh.iterations;
   double sbPer = static_cast<double>(sbr.coreCycles) / sbr.iterations;
   EXPECT_LT(sbPer, nhPer);
+}
+
+TEST(CoreTiming, LoadOfAJustFilledLineNeedsNoFillBuffer) {
+  // Two load ports and one fill buffer: the first load misses and takes the
+  // buffer; the second, to the same line, now hits L1 and must issue in the
+  // same cycle rather than wait for a buffer.
+  MachineConfig sb = sandyBridgeE31240();
+  sb.fillBuffers = 1;
+  MemorySystem ms(sb);
+  CoreSim core(sb, ms, 0);
+  char* buffer = nullptr;
+  std::size_t size = 0;
+  std::FILE* log = open_memstream(&buffer, &size);
+  ASSERT_NE(log, nullptr);
+  core.setTrace(log);
+  core.run(asmparse::parseAssembly(
+               "f:\n movaps (%rsi), %xmm0\n movaps 16(%rsi), %xmm1\n ret\n"),
+           0, {0x100000});
+  std::fclose(log);
+  std::string trace(buffer, size);
+  std::free(buffer);
+  EXPECT_NE(trace.find("id=0 LD issue=1 "), std::string::npos) << trace;
+  EXPECT_NE(trace.find("id=1 LD issue=1 "), std::string::npos) << trace;
 }
 
 TEST(CoreTiming, ColdRunSlowerThanWarm) {
