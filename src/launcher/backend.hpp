@@ -145,8 +145,11 @@ class Backend {
   /// Ahead-of-time preparation for the campaign's pipelined compile stage:
   /// maps source units to equivalent units that loadSource() can consume
   /// more cheaply. The native backend batch-compiles the units with one
-  /// compiler invocation and returns "so" units pointing at the shared
-  /// object, so pinned measurement workers only pay a dlopen. Must be safe
+  /// compiler invocation (its asm units joined into one translation unit,
+  /// so one assembler run) and returns "so" units pointing at the shared
+  /// object, so pinned measurement workers only pay a dlopen. When the
+  /// joined batch fails, each unit is compiled alone, so one broken unit
+  /// stays unprepared without holding back the rest. Must be safe
   /// to call concurrently with invoke()/loadSource() on the same backend.
   /// The default (and the simulator's) preparation is the identity — loads
   /// are already cheap. A unit that cannot be prepared comes back

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,9 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -525,22 +528,189 @@ std::string CompileBatch::renameIdentifier(const std::string& text,
   return out;
 }
 
+namespace {
+
+bool isAsmSymbolStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == '.';
+}
+
+bool isAsmSymbolChar(char c) {
+  return isAsmSymbolStart(c) || (c >= '0' && c <= '9') || c == '$';
+}
+
+/// What joining needs to know about one AT&T-syntax asm unit.
+struct AsmScan {
+  /// Every symbol-shaped token outside comments, strings, numbers (so the
+  /// numeric labels `1:`/`1b` too) and `%register` names, in text order.
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;  // (pos, len)
+  /// Symbols the unit defines (`sym:`, `sym =`, `.set`/`.equ`/`.equiv`/
+  /// `.eqv`/`.lcomm sym`) minus those it declares `.globl`/`.global`/`.weak`.
+  std::set<std::string> locals;
+  std::vector<std::string> macros;  ///< names of `.macro` definitions
+  int alignLog2 = 0;  ///< largest `.p2align`/`.align`/`.balign` request
+  /// An `Nb` with no `N:` before it or an `Nf` with none after it: alone
+  /// the unit fails to assemble, joined it would bind to a neighbour's `N:`.
+  bool strayNumericLabel = false;
+};
+
+AsmScan scanAsm(const std::string& text) {
+  AsmScan scan;
+  std::set<std::string> defined, globals, numericDefined, forwardUses;
+  std::string head;  // directive/mnemonic of the current statement
+  int operand = 0;   // symbol tokens seen after `head`
+
+  std::size_t i = 0;
+  const std::size_t n = text.size();
+  while (i < n) {
+    char c = text[i];
+    if (c == '#') {
+      while (i < n && text[i] != '\n') ++i;
+    } else if (c == '/' && i + 1 < n && text[i + 1] == '*') {
+      std::size_t close = text.find("*/", i + 2);
+      i = close == std::string::npos ? n : close + 2;
+    } else if (c == '"') {
+      for (++i; i < n && text[i] != '"'; ++i) {
+        if (text[i] == '\\') ++i;
+      }
+      ++i;
+    } else if (c == '\n' || c == ';') {
+      head.clear();
+      operand = 0;
+      ++i;
+    } else if (c == '%') {
+      for (++i; i < n && isAsmSymbolChar(text[i]); ++i) {
+      }
+    } else if (c >= '0' && c <= '9') {
+      // A number, or a numeric label `N:` and its `Nb`/`Nf` uses.
+      std::size_t start = i;
+      while (i < n && isAsmSymbolChar(text[i])) ++i;
+      std::string number = text.substr(start, i - start);
+      std::size_t digits = number.find_first_not_of("0123456789");
+      std::size_t next = text.find_first_not_of(" \t", i);
+      if (digits == std::string::npos && head.empty() &&
+          next != std::string::npos && text[next] == ':') {
+        numericDefined.insert(number);
+        forwardUses.erase(number);
+      } else if (digits + 1 == number.size()) {
+        std::string label = number.substr(0, digits);
+        if (number.back() == 'f') forwardUses.insert(label);
+        if (number.back() == 'b' && !numericDefined.count(label)) {
+          scan.strayNumericLabel = true;
+        }
+      }
+    } else if (isAsmSymbolStart(c)) {
+      std::size_t start = i;
+      while (i < n && isAsmSymbolChar(text[i])) ++i;
+      scan.tokens.emplace_back(start, i - start);
+      std::string name = text.substr(start, i - start);
+      std::size_t next = text.find_first_not_of(" \t", i);
+      char follow = next == std::string::npos ? '\0' : text[next];
+      if (head.empty()) {
+        if (follow == ':') {
+          defined.insert(name);  // a label; the statement continues
+        } else if (follow == '=') {
+          defined.insert(name);
+          head = "=";
+        } else {
+          head = name;
+          bool p2 = head == ".p2align";
+          // x86 ELF `.align` counts bytes, like `.balign`.
+          if ((p2 || head == ".align" || head == ".balign") && follow >= '0' &&
+              follow <= '9') {
+            long value = std::strtol(text.c_str() + next, nullptr, 0);
+            int log2 = p2 ? static_cast<int>(std::min(value, 30L)) : 0;
+            while (!p2 && log2 < 30 && (1L << log2) < value) ++log2;
+            scan.alignLog2 = std::max(scan.alignLog2, log2);
+          }
+        }
+      } else if (head == ".globl" || head == ".global" || head == ".weak") {
+        globals.insert(name);
+      } else if (operand++ == 0) {
+        if (head == ".set" || head == ".equ" || head == ".equiv" ||
+            head == ".eqv" || head == ".lcomm") {
+          defined.insert(name);
+        } else if (head == ".macro") {
+          scan.macros.push_back(name);
+        }
+      }
+    } else {
+      ++i;
+    }
+  }
+  for (const std::string& name : defined) {
+    if (!globals.count(name)) scan.locals.insert(name);
+  }
+  if (!forwardUses.empty()) scan.strayNumericLabel = true;
+  return scan;
+}
+
+std::string suffixScanned(const std::string& text, const AsmScan& scan,
+                          std::size_t index) {
+  std::string out;
+  out.reserve(text.size() + 64);
+  std::size_t copied = 0;
+  for (const auto& [pos, len] : scan.tokens) {
+    std::string name = text.substr(pos, len);
+    if (!scan.locals.count(name)) continue;
+    out.append(text, copied, pos - copied);
+    out += CompileBatch::uniquifiedName(name, index);
+    copied = pos + len;
+  }
+  out.append(text, copied, std::string::npos);
+  return out;
+}
+
+}  // namespace
+
+std::string CompileBatch::suffixLocalSymbols(const std::string& asmText,
+                                             std::size_t index) {
+  return suffixScanned(asmText, scanAsm(asmText), index);
+}
+
 std::vector<std::optional<CompiledKernel>> CompileBatch::compile(
     const std::vector<launcher::SourceUnit>& units) {
   std::vector<std::optional<CompiledKernel>> kernels;
   if (units.empty()) return kernels;
 
+  // All asm units go into ONE translation unit (one `as` run), each behind
+  // a prologue that resets what a previous unit could have left behind —
+  // section, code size, syntax mode — and aligns the unit as ld would align
+  // it as a separate object, so every kernel keeps its bytes and alignment.
+  // When unit 0 asks for the batch's largest alignment (in generated
+  // batches every unit asks for the same), offsets from entry 0 also equal
+  // a per-file link's. Local symbols get the unit's suffix and macros are
+  // purged after the unit, so nothing a unit defines reaches the next.
+  std::string joinedAsm;
   std::vector<SourceText> sources;
   std::vector<std::string> names;
-  sources.reserve(units.size());
   names.reserve(units.size());
   for (std::size_t i = 0; i < units.size(); ++i) {
     const launcher::SourceUnit& unit = units[i];
     sourceSuffix(unit.kind);  // validates the language up front
     std::string name = uniquifiedName(unit.functionName, i);
-    sources.push_back(
-        {unit.kind, renameIdentifier(unit.text, unit.functionName, name)});
+    std::string text = renameIdentifier(unit.text, unit.functionName, name);
     names.push_back(std::move(name));
+    if (unit.kind != "asm") {
+      sources.push_back({unit.kind, std::move(text)});
+      continue;
+    }
+    AsmScan scan = scanAsm(text);
+    if (scan.strayNumericLabel) {
+      throw ExecutionError("asm unit " + std::to_string(i) +
+                           " uses a numeric label it does not define; "
+                           "it cannot be joined with other units");
+    }
+    joinedAsm += strings::format(
+        "\t.text\n\t.code64\n\t.att_syntax\n\t.p2align %d\n", scan.alignLog2);
+    joinedAsm += suffixScanned(text, scan, i);
+    joinedAsm += '\n';
+    for (const std::string& macro : scan.macros) {
+      joinedAsm += "\t.purgem " + macro + "\n";
+    }
+  }
+  if (!joinedAsm.empty()) {
+    sources.insert(sources.begin(), {"asm", std::move(joinedAsm)});
   }
 
   auto so = compileSources(sources, options_);

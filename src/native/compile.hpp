@@ -143,10 +143,17 @@ class CompiledKernel {
 
 /// Batch compilation: K kernels, ONE compiler invocation, one shared object,
 /// one dlopen — amortizing fork/exec and compiler startup across the batch.
-/// Each unit keeps its own translation unit inside the single invocation
-/// (so file-local assembler labels like `.L6` can never collide across
-/// variants) while the global entry symbols are uniquified by rewriting
-/// every identifier occurrence of the unit's functionName.
+/// The asm units are joined into ONE translation unit, so the invocation
+/// runs one assembler; C units stay one file each in the same invocation.
+/// Every unit's entry symbol is uniquified by rewriting each identifier
+/// occurrence of its functionName. An asm unit is isolated from its
+/// neighbours by a prologue (`.text`, `.code64`, `.att_syntax`, then
+/// `.p2align` to the unit's largest alignment request, the alignment ld
+/// would give it as a separate object), by suffixing every symbol it
+/// defines without `.globl` (so two units' `.L6` never collide and a jump
+/// to a label only another unit defines stays undefined), and by purging
+/// its macros after it. Two units defining the same global still fail the
+/// batch, as separate objects would fail the link.
 class CompileBatch {
  public:
   explicit CompileBatch(CompileOptions options = {});
@@ -154,9 +161,11 @@ class CompileBatch {
   /// Compiles every unit (kind "asm" or "c") with at most one compiler
   /// invocation — zero when `options.cacheDir` already holds the batch.
   /// All returned kernels share one dlopen'd shared object. Throws
-  /// ExecutionError when the batched invocation itself fails (callers fall
-  /// back to per-unit compilation to isolate the offending variant); a unit
-  /// whose uniquified symbol cannot be resolved comes back as nullopt.
+  /// ExecutionError when the batched invocation itself fails, or before it
+  /// when an asm unit uses a numeric label (`1f`, `1b`) it does not define,
+  /// which joined would bind to a neighbour's (callers fall back to
+  /// per-unit compilation to isolate the offending variant); a unit whose
+  /// uniquified symbol cannot be resolved comes back as nullopt.
   std::vector<std::optional<CompiledKernel>> compile(
       const std::vector<launcher::SourceUnit>& units);
 
@@ -174,6 +183,16 @@ class CompileBatch {
   static std::string renameIdentifier(const std::string& text,
                                       const std::string& from,
                                       const std::string& to);
+
+  /// Renames every symbol an AT&T-syntax asm unit defines (`sym:`,
+  /// `sym = ...`, `.set`/`.equ`/`.equiv`/`.eqv`/`.lcomm sym`) and does not
+  /// declare `.globl`/`.global`/`.weak` to uniquifiedName(sym, index), at
+  /// every occurrence outside comments and strings. Symbol characters are
+  /// [A-Za-z0-9_.$], so `.L6` is renamed but `x.L6` is a different symbol;
+  /// directives, `%registers` and numeric labels (`1:`, `1b`) are never
+  /// touched. Exposed for tests.
+  static std::string suffixLocalSymbols(const std::string& asmText,
+                                        std::size_t index);
 
  private:
   CompileOptions options_;

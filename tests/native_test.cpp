@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+#include <link.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -176,6 +181,21 @@ TEST(Compile, FailedCompilationLeavesNoTempFiles) {
                ExecutionError);
   EXPECT_THROW(CompiledKernel("not C either @!#", "c", "f"), ExecutionError);
   EXPECT_EQ(countTempFiles(), before);
+
+  // A failing joined batch, then the per-unit fallback that isolates it.
+  auto programs = generate(figure6Xml(1, 1, false));
+  std::vector<launcher::SourceUnit> units = {
+      {"asm", programs[0].asmText, "microkernel"},
+      {"asm", "this is not assembly", "microkernel"},
+  };
+  EXPECT_THROW(CompileBatch().compile(units), ExecutionError);
+  {
+    NativeBackend backend;
+    auto prepared = backend.prepareBatch(units);
+    EXPECT_EQ(prepared[0].kind, "so");
+    EXPECT_EQ(prepared[1].kind, "asm");
+  }
+  EXPECT_EQ(countTempFiles(), before);
 }
 
 TEST(Compile, SignalDeathIsDiagnosable) {
@@ -320,6 +340,303 @@ TEST(Compile, BatchWarmCacheRerunSpawnsNothing) {
     ASSERT_TRUE(cold[i].has_value());
     ASSERT_TRUE(warm[i].has_value());
     EXPECT_EQ(cold[i]->call(4096, ptrs, 1), warm[i]->call(4096, ptrs, 1));
+  }
+}
+
+TEST(Compile, SuffixLocalSymbolsRenamesOnlyUnitLocalDefinitions) {
+  const std::string text =
+      "\t.globl f\n"
+      "f:\n"
+      ".L6:\n"
+      ".Lfoo.bar: loop:\n"
+      "\t.set N, 4\n"
+      "\t.long .Lfoo.bar - .L6, N\n"
+      "\t.loc 1 2 0\n"
+      "\tjmp x.L6\n"
+      "1:\n"
+      "\tjmp 1b  # not .L6\n"
+      "\tjge .L6\n"
+      "\tjmp loop\n"
+      "\t.ascii \".L6\"\n";
+  EXPECT_EQ(CompileBatch::suffixLocalSymbols(text, 3),
+            "\t.globl f\n"
+            "f:\n"
+            ".L6_mtb3:\n"
+            ".Lfoo.bar_mtb3: loop_mtb3:\n"
+            "\t.set N_mtb3, 4\n"
+            "\t.long .Lfoo.bar_mtb3 - .L6_mtb3, N_mtb3\n"
+            "\t.loc 1 2 0\n"
+            "\tjmp x.L6\n"
+            "1:\n"
+            "\tjmp 1b  # not .L6\n"
+            "\tjge .L6_mtb3\n"
+            "\tjmp loop_mtb3\n"
+            "\t.ascii \".L6\"\n");
+  // A symbol the unit only references is another object's to define.
+  EXPECT_EQ(CompileBatch::suffixLocalSymbols("\tjmp .L7\n", 0), "\tjmp .L7\n");
+}
+
+/// Entry `i`'s offset from entry 0, and the `st_size` bytes of its symbol.
+struct EntryLayout {
+  std::ptrdiff_t offset = 0;
+  std::string bytes;
+};
+
+std::vector<EntryLayout> entryLayouts(const std::vector<void*>& entries) {
+  std::vector<EntryLayout> out;
+  for (void* entry : entries) {
+    Dl_info info{};
+    void* symEntry = nullptr;
+    EXPECT_NE(dladdr1(entry, &info, &symEntry, RTLD_DL_SYMENT), 0);
+    const auto* sym = static_cast<const ElfW(Sym)*>(symEntry);
+    EntryLayout layout;
+    layout.offset = static_cast<const char*>(entry) -
+                    static_cast<const char*>(entries[0]);
+    if (sym) layout.bytes.assign(static_cast<const char*>(entry), sym->st_size);
+    EXPECT_FALSE(layout.bytes.empty());
+    out.push_back(std::move(layout));
+  }
+  return out;
+}
+
+/// Compiles `units` as a batch and as the per-file link it replaces — one
+/// renamed `.s` per unit, all given to one `$CC -O2 -shared -fPIC` — and
+/// expects every entry at the same offset with the same bytes in both.
+void expectLayoutParity(const std::vector<launcher::SourceUnit>& units) {
+  std::string dir = uniqueTempDir("layout_parity");
+  std::vector<std::string> argv = {compilerCommand(), "-O2", "-shared",
+                                   "-fPIC", "-o", dir + "/reference.so"};
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    std::string path = dir + "/unit" + std::to_string(i) + ".s";
+    std::ofstream(path) << CompileBatch::renameIdentifier(
+        units[i].text, units[i].functionName,
+        CompileBatch::uniquifiedName(units[i].functionName, i));
+    argv.push_back(path);
+  }
+  SpawnResult built = runProcess(argv);
+  ASSERT_TRUE(built.ok()) << built.describe() << "\n" << built.output;
+  SharedObject reference(dir + "/reference.so", /*ownsFile=*/false);
+
+  auto kernels = CompileBatch().compile(units);
+  std::vector<void*> joinedEntries, referenceEntries;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    ASSERT_TRUE(kernels[i].has_value()) << "unit " << i;
+    std::string name = CompileBatch::uniquifiedName(units[i].functionName, i);
+    joinedEntries.push_back(kernels[i]->sharedObject()->symbol(name));
+    referenceEntries.push_back(reference.symbol(name));
+  }
+  std::vector<EntryLayout> joined = entryLayouts(joinedEntries);
+  std::vector<EntryLayout> expected = entryLayouts(referenceEntries);
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    EXPECT_EQ(joined[i].offset, expected[i].offset) << "unit " << i;
+    EXPECT_EQ(joined[i].bytes, expected[i].bytes) << "unit " << i;
+  }
+}
+
+TEST(Compile, JoinedFigure6BatchMatchesPerFileLayout) {
+  auto programs = generate(figure6Xml(1, 8, true));
+  ASSERT_EQ(programs.size(), 510u);
+  std::vector<launcher::SourceUnit> units;
+  for (int unroll = 1; unroll <= 8; ++unroll) {  // one variant per factor
+    std::string prefix = "loadstore_u" + std::to_string(unroll) + "_";
+    auto p = std::find_if(programs.begin(), programs.end(), [&](auto& q) {
+      return q.name.rfind(prefix, 0) == 0;
+    });
+    ASSERT_NE(p, programs.end()) << prefix;
+    units.push_back({"asm", p->asmText, p->functionName});
+  }
+  expectLayoutParity(units);
+}
+
+TEST(Compile, JoinedExampleVariantsMatchPerFileLayout) {
+  std::vector<launcher::SourceUnit> units;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(MT_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".xml") continue;
+    std::stringstream xml;
+    xml << std::ifstream(entry.path()).rdbuf();
+    for (const auto& p : generate(xml.str())) {
+      units.push_back({"asm", p.asmText, p.functionName});
+    }
+  }
+  ASSERT_GE(units.size(), 2u);
+  expectLayoutParity(units);
+}
+
+TEST(Compile, JoinedUnitsKeepTheirOwnAlignment) {
+  // `.align` and `.balign` count bytes on x86 ELF. Every unit starts on
+  // its largest alignment, as it would as a separate object. The joined
+  // section starts on the batch's largest alignment, so offsets from
+  // entry 0 equal the per-file link's when unit 0 asks for that much.
+  auto unit = [](const std::string& align) {
+    return launcher::SourceUnit{
+        "asm",
+        "\t.text\n\t.globl microkernel\n\t.type microkernel, @function\n"
+        "microkernel:\n\tmov $1, %eax\n\t" +
+            align +
+            "\n\tret\n\t.size microkernel, .-microkernel\n"
+            "\t.section .note.GNU-stack,\"\",@progbits\n",
+        "microkernel"};
+  };
+  std::vector<launcher::SourceUnit> units = {
+      unit(".p2align 2"), unit(".balign 64"), unit(".align 32"),
+      unit(".p2align 3,,5")};
+  const std::uintptr_t alignment[] = {4, 64, 32, 8};
+  auto kernels = CompileBatch().compile(units);
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    ASSERT_TRUE(kernels[i].has_value());
+    void* entry = kernels[i]->sharedObject()->symbol(
+        CompileBatch::uniquifiedName("microkernel", i));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(entry) % alignment[i], 0u)
+        << "unit " << i;
+  }
+  std::rotate(units.begin(), units.begin() + 1, units.end());
+  expectLayoutParity(units);
+}
+
+/// A kernel returning `value + 1` through a plain `loop:` and a `.L6:`
+/// label that every unit built by this function defines.
+std::string sharedLabelUnit(int value) {
+  return "\t.text\n\t.globl microkernel\n\t.type microkernel, @function\n"
+         "microkernel:\n\tmov $" +
+         std::to_string(value) +
+         ", %eax\n\tjmp loop\n\t.p2align 4\n.L6:\n\tadd $1, %eax\n\tret\n"
+         "loop:\n\tjmp .L6\n\t.size microkernel, .-microkernel\n"
+         "\t.section .note.GNU-stack,\"\",@progbits\n";
+}
+
+TEST(Compile, JoinedUnitsKeepTheirOwnLabels) {
+  std::vector<launcher::SourceUnit> units = {
+      {"asm", sharedLabelUnit(10), "microkernel"},
+      {"asm", sharedLabelUnit(20), "microkernel"},
+  };
+  std::uint64_t spawns = spawnCount();
+  auto kernels = CompileBatch().compile(units);
+  EXPECT_EQ(spawnCount() - spawns, 1u);
+  ASSERT_TRUE(kernels[0].has_value());
+  ASSERT_TRUE(kernels[1].has_value());
+  CompiledKernel twin0(units[0].text, "asm", "microkernel");
+  CompiledKernel twin1(units[1].text, "asm", "microkernel");
+  EXPECT_EQ(twin0.call(0, nullptr, 0), 11);
+  EXPECT_EQ(twin1.call(0, nullptr, 0), 21);
+  EXPECT_EQ(kernels[0]->call(0, nullptr, 0), twin0.call(0, nullptr, 0));
+  EXPECT_EQ(kernels[1]->call(0, nullptr, 0), twin1.call(0, nullptr, 0));
+}
+
+TEST(Compile, UnitEndingInDataLeavesNextUnitInText) {
+  // The second unit names no section and no syntax: alone it assembles
+  // into .text as AT&T. The first leaves .data and Intel syntax behind.
+  std::vector<launcher::SourceUnit> units = {
+      {"asm",
+       "\t.globl microkernel\nmicrokernel:\n\tmov $3, %eax\n\tret\n"
+       "\t.data\n\t.long 5\n\t.intel_syntax noprefix\n",
+       "microkernel"},
+      {"asm",
+       "\t.globl microkernel\nmicrokernel:\n\tmov $7, %eax\n\tret\n"
+       "\t.section .note.GNU-stack,\"\",@progbits\n",
+       "microkernel"},
+  };
+  auto kernels = CompileBatch().compile(units);
+  ASSERT_TRUE(kernels[0].has_value());
+  ASSERT_TRUE(kernels[1].has_value());
+  const ElfW(Sym)* syms[2] = {nullptr, nullptr};
+  for (int i = 0; i < 2; ++i) {
+    Dl_info info{};
+    void* symEntry = nullptr;
+    void* entry = kernels[i]->sharedObject()->symbol(
+        CompileBatch::uniquifiedName("microkernel", i));
+    ASSERT_NE(dladdr1(entry, &info, &symEntry, RTLD_DL_SYMENT), 0);
+    syms[i] = static_cast<const ElfW(Sym)*>(symEntry);
+    ASSERT_NE(syms[i], nullptr);
+  }
+  ASSERT_EQ(syms[1]->st_shndx, syms[0]->st_shndx) << "left .text";
+  EXPECT_EQ(kernels[0]->call(0, nullptr, 0), 3);
+  EXPECT_EQ(kernels[1]->call(0, nullptr, 0), 7);
+}
+
+TEST(Compile, UnitMacrosDoNotReachNextUnit) {
+  // A macro may shadow a mnemonic; the next unit's `xor` must stay an xor.
+  const std::string tail =
+      "\t.section .note.GNU-stack,\"\",@progbits\n";
+  std::vector<launcher::SourceUnit> units = {
+      {"asm",
+       "\t.macro xor a, b\n\tmov $7, %eax\n\t.endm\n"
+       "\t.text\n\t.globl microkernel\nmicrokernel:\n\txor %eax, %eax\n"
+       "\tret\n" + tail,
+       "microkernel"},
+      {"asm",
+       "\t.text\n\t.globl microkernel\nmicrokernel:\n\txor %eax, %eax\n"
+       "\tret\n" + tail,
+       "microkernel"},
+  };
+  auto kernels = CompileBatch().compile(units);
+  ASSERT_TRUE(kernels[0].has_value());
+  ASSERT_TRUE(kernels[1].has_value());
+  EXPECT_EQ(kernels[0]->call(0, nullptr, 0), 7);
+  EXPECT_EQ(kernels[1]->call(0, nullptr, 0), 0);
+}
+
+TEST(Compile, JoiningNeverBindsAJumpToAnotherUnitsLabel) {
+  // Each case: unit `bad` uses a label only the other unit defines. Alone
+  // it does not build or load; joined it must fail the same way, not bind
+  // silently to its neighbour's label.
+  const std::string head = "\t.text\n\t.globl microkernel\nmicrokernel:\n";
+  const std::string note = "\t.section .note.GNU-stack,\"\",@progbits\n";
+  struct Case {
+    std::string first, second;
+    std::size_t bad;
+  };
+  const Case cases[] = {
+      {head + "\tmov $3, %eax\n\tjmp .L7\n" + note,
+       head + "\tmov $5, %eax\n.L7:\n\tret\n" + note, 0},
+      {head + "\tmov $3, %eax\n\tjmp loop\n" + note,
+       head + "\tmov $5, %eax\nloop:\n\tret\n" + note, 0},
+      {head + "\tmov $3, %eax\n\tjmp 1f\n" + note,
+       head + "1:\n\tmov $5, %eax\n\tret\n" + note, 0},
+      {head + "\tmov $3, %eax\n1:\n\tret\n" + note,
+       head + "\tmov $5, %eax\n\tjmp 1b\n" + note, 1},
+  };
+  for (const Case& c : cases) {
+    std::vector<launcher::SourceUnit> units = {
+        {"asm", c.first, "microkernel"}, {"asm", c.second, "microkernel"}};
+    SCOPED_TRACE(units[c.bad].text);
+    EXPECT_THROW(CompiledKernel(units[c.bad].text, "asm", "microkernel"),
+                 ExecutionError);
+    EXPECT_THROW(CompileBatch().compile(units), ExecutionError);
+
+    NativeBackend backend;
+    auto handles = backend.loadBatch(units);
+    ASSERT_EQ(handles.size(), 2u);
+    EXPECT_EQ(handles[c.bad], nullptr);
+    EXPECT_NE(handles[1 - c.bad], nullptr);
+  }
+}
+
+TEST(Backend, PrepareBatchIsolatesAUnitThatSwallowsTheRest) {
+  // An unterminated `.if` swallows every unit after it in the joined
+  // translation unit; the others must still come back as loadable "so".
+  auto programs = generate(figure6Xml(1, 2, false));
+  std::vector<launcher::SourceUnit> units = {
+      {"asm", programs[0].asmText, "microkernel"},
+      {"asm", "\t.if 1\n", "microkernel"},
+      {"asm", programs[1].asmText, "microkernel"},
+  };
+  NativeBackend compileBackend;
+  auto prepared = compileBackend.prepareBatch(units);
+  ASSERT_EQ(prepared.size(), 3u);
+  EXPECT_EQ(prepared[0].kind, "so");
+  EXPECT_EQ(prepared[1].kind, "asm");
+  EXPECT_EQ(prepared[2].kind, "so");
+
+  NativeBackend measureBackend;
+  launcher::KernelRequest request;
+  request.arrays.push_back(launcher::ArraySpec{1 << 16, 4096, 0});
+  request.n = 4096;
+  for (std::size_t i : {0u, 2u}) {
+    auto kernel = measureBackend.loadSource(
+        prepared[i].kind, prepared[i].text, prepared[i].functionName);
+    EXPECT_EQ(measureBackend.invoke(*kernel, request).iterations,
+              static_cast<std::uint64_t>(4096 / (i == 0 ? 4 : 8) + 1));
   }
 }
 
