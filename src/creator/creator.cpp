@@ -1,13 +1,11 @@
 #include "creator/creator.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 
 #include "creator/plugin.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace microtools::creator {
 
@@ -19,45 +17,11 @@ void MicroCreator::loadPlugin(const std::string& path) {
   pluginLoader_->load(path, passManager_);
 }
 
-void MicroCreator::setGenerateJobs(int jobs) {
-  if (jobs < 1) throw McError("generate jobs must be >= 1");
-  generateJobs_ = jobs;
-}
-
 std::vector<GeneratedProgram> MicroCreator::generate(
     const Description& description) const {
   GenerationState state(description);
-  std::unique_ptr<threads::ThreadPool> pool;
-  if (generateJobs_ > 1) {
-    pool = std::make_unique<threads::ThreadPool>(generateJobs_);
-    state.pool = pool.get();
-  }
   passManager_.run(state);
   return std::move(state.programs);
-}
-
-void MicroCreator::generateStream(
-    const Description& description,
-    const std::function<void(const PassManager::StreamInfo&)>& onReady,
-    const std::function<void(GeneratedProgram&&)>& consume) const {
-  GenerationState state(description);
-  std::unique_ptr<threads::ThreadPool> pool;
-  if (generateJobs_ > 1) {
-    pool = std::make_unique<threads::ThreadPool>(generateJobs_);
-    state.pool = pool.get();
-  }
-  if (passManager_.runStreaming(state, onReady, consume)) return;
-  // Plugin-customized tail: batch-generate, then deliver in order.
-  passManager_.run(state);
-  PassManager::StreamInfo info;
-  info.kernelCount = state.programs.size();
-  for (const GeneratedProgram& program : state.programs) {
-    info.maxArrayCount = std::max(info.maxArrayCount, program.arrayCount);
-  }
-  onReady(info);
-  for (GeneratedProgram& program : state.programs) {
-    consume(std::move(program));
-  }
 }
 
 std::vector<GeneratedProgram> MicroCreator::generateFromText(

@@ -25,27 +25,9 @@ class MicroCreator {
   /// Loads a plugin shared library (§3.3); see PluginLoader.
   void loadPlugin(const std::string& path);
 
-  /// Worker threads for the per-kernel pipeline stages (fanOut expansion,
-  /// CodeEmission, Verification). 1 — the default — runs fully serial.
-  /// Output is bit-identical across job counts; throws McError when
-  /// jobs < 1.
-  void setGenerateJobs(int jobs);
-  int generateJobs() const { return generateJobs_; }
-
   /// Runs the pipeline over a parsed description and returns the generated
   /// benchmark programs.
   std::vector<GeneratedProgram> generate(const Description& description) const;
-
-  /// Streaming generation: `onReady` fires once with the emitted kernel-set
-  /// shape, then each verified program is handed to `consume` in kernel
-  /// order as soon as it is available — measurement can start before
-  /// generation finishes. Names, contentIds, and diagnostics match
-  /// generate() exactly. Pipelines whose tail was replaced by a plugin
-  /// fall back to batch generation followed by in-order delivery.
-  void generateStream(
-      const Description& description,
-      const std::function<void(const PassManager::StreamInfo&)>& onReady,
-      const std::function<void(GeneratedProgram&&)>& consume) const;
 
   /// Convenience: parse XML text / a file, then generate.
   std::vector<GeneratedProgram> generateFromText(
@@ -56,7 +38,6 @@ class MicroCreator {
  private:
   PassManager passManager_;
   std::unique_ptr<PluginLoader> pluginLoader_;
-  int generateJobs_ = 1;
 };
 
 /// Maps a variant name onto a safe file stem: path separators and control

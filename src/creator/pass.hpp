@@ -9,10 +9,6 @@
 #include "ir/kernel.hpp"
 #include "support/rng.hpp"
 
-namespace microtools::threads {
-class ThreadPool;
-}  // namespace microtools::threads
-
 namespace microtools::creator {
 
 /// A generated benchmark program: the CodeEmission pass's output unit.
@@ -43,12 +39,6 @@ struct GenerationState {
   std::vector<ir::Kernel> kernels;
   Rng rng;
   std::vector<GeneratedProgram> programs;  ///< filled by CodeEmission
-
-  /// Worker pool for per-kernel stages (fanOut / CodeEmission /
-  /// Verification). nullptr — the default — keeps every pass strictly
-  /// serial, so plugins that never opt in see the historical behavior.
-  /// Owned by the caller (MicroCreator), never by the state.
-  threads::ThreadPool* pool = nullptr;
 };
 
 /// One pass of the MicroCreator source-to-source compiler (§3.2).
@@ -105,25 +95,12 @@ class LambdaPass final : public Pass {
   std::function<void(GenerationState&)> body_;
 };
 
-/// Whether a fanOut expand callback may be invoked concurrently from pool
-/// workers. `Pure` promises the callback reads only its kernel argument (or
-/// touches shared state through atomics) — it must not draw from a shared
-/// Rng or mutate captured plain variables. Impure is the default so plugin
-/// passes written against the serial contract stay correct unchanged.
-enum class ExpandPurity { Impure, Pure };
-
 /// Helper for variant-producing passes: applies `expand` to every kernel and
 /// concatenates the results in kernel order, enforcing the description's
-/// benchmark limit. With `ExpandPurity::Pure` and a multi-worker
-/// `state.pool`, kernels are expanded concurrently; the concatenated (and
-/// limit-truncated) kernel set is bit-identical to the serial result. The
-/// one observable difference: the parallel path expands kernels the serial
-/// loop would have skipped once the limit was reached, so an exception from
-/// such a kernel surfaces here but not serially.
+/// benchmark limit.
 void fanOut(GenerationState& state,
             const std::function<std::vector<ir::Kernel>(const ir::Kernel&)>&
-                expand,
-            ExpandPurity purity = ExpandPurity::Impure);
+                expand);
 
 /// Stable naming contract for emitted variants: the i-th program's name
 /// depends only on the sequence of base names (kernel.variantName() in

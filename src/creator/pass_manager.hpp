@@ -51,29 +51,6 @@ class PassManager {
   /// each pass.
   void run(GenerationState& state) const;
 
-  /// Pipeline shape summary handed to streaming consumers before the first
-  /// program is released: how many kernels will be emitted and the largest
-  /// arrayCount among them (computed pre-verification, so it can exceed the
-  /// post-verification maximum when the widest variant is rejected).
-  struct StreamInfo {
-    std::size_t kernelCount = 0;
-    int maxArrayCount = 0;
-  };
-
-  /// Streaming run: executes the pre-emission passes as run() would, calls
-  /// `onReady` once with the finalized kernel-set shape, then emits and
-  /// verifies kernels (concurrently when state.pool is set) and hands each
-  /// surviving program to `consume` in kernel order as soon as it and all
-  /// its predecessors are verified. Program names, contentIds, rejection
-  /// warnings and the all-rejected error match run() exactly. Returns false
-  /// without touching `state` when the pipeline does not end with the
-  /// built-in CodeEmission + Verification passes (plugin-replaced tails
-  /// must use run()).
-  bool runStreaming(
-      GenerationState& state,
-      const std::function<void(const StreamInfo&)>& onReady,
-      const std::function<void(GeneratedProgram&&)>& consume) const;
-
  private:
   std::size_t indexOf(const std::string& name) const;
 

@@ -2,7 +2,6 @@
 // description's "what instruction / what constant / what stride" freedoms
 // (the paper's instruction-selection stage, §3.2).
 
-#include <atomic>
 #include <bit>
 
 #include "creator/passes.hpp"
@@ -88,27 +87,23 @@ class InstructionRepetition final : public Pass {
 
   void run(GenerationState& state) override {
     // Iterate until no instruction carries a pending repetition range; each
-    // round resolves the first pending instruction in every kernel. The
-    // flag is atomic because concurrent expansions may all set it.
-    std::atomic<bool> changed{true};
-    while (changed.load(std::memory_order_relaxed)) {
-      changed.store(false, std::memory_order_relaxed);
-      fanOut(
-          state,
-          [&changed](const Kernel& kernel) {
-            return expandFirstRepeat(kernel, changed);
-          },
-          ExpandPurity::Pure);
+    // round resolves the first pending instruction in every kernel.
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      fanOut(state, [&changed](const Kernel& kernel) {
+        return expandFirstRepeat(kernel, changed);
+      });
     }
   }
 
  private:
   static std::vector<Kernel> expandFirstRepeat(const Kernel& kernel,
-                                               std::atomic<bool>& changed) {
+                                               bool& changed) {
     for (std::size_t i = 0; i < kernel.body.size(); ++i) {
       const Instruction& instr = kernel.body[i];
       if (instr.repeatMin == 1 && instr.repeatMax == 1) continue;
-      changed.store(true, std::memory_order_relaxed);
+      changed = true;
       std::vector<Kernel> out;
       for (int count = instr.repeatMin; count <= instr.repeatMax; ++count) {
         Kernel variant = kernel;
@@ -139,22 +134,10 @@ class RandomSelection final : public Pass {
   RandomSelection() : Pass("RandomSelection") {}
 
   void run(GenerationState& state) override {
-    // Random choices draw from the single shared Rng, whose draw order is
-    // part of the deterministic output — stay serial whenever any kernel
-    // would consult it. The exhaustive (non-random) fan-out is pure.
-    bool usesRng = false;
-    for (const Kernel& kernel : state.kernels) {
-      for (const Instruction& instr : kernel.body) {
-        if (instr.chooseRandomly && !instr.operationChoices.empty()) {
-          usesRng = true;
-        }
-      }
-    }
+    // Random choices draw from the single shared Rng in kernel order; the
+    // draw order is part of the deterministic output.
     Rng& rng = state.rng;
-    fanOut(
-        state,
-        [&rng](const Kernel& kernel) { return expand(kernel, rng); },
-        usesRng ? ExpandPurity::Impure : ExpandPurity::Pure);
+    fanOut(state, [&rng](const Kernel& kernel) { return expand(kernel, rng); });
   }
 
  private:
@@ -203,8 +186,7 @@ class MoveSemanticExpansion final : public Pass {
   MoveSemanticExpansion() : Pass("MoveSemanticExpansion") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:
@@ -256,8 +238,7 @@ class ImmediateSelection final : public Pass {
   ImmediateSelection() : Pass("ImmediateSelection") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:
@@ -298,8 +279,7 @@ class StrideSelection final : public Pass {
   StrideSelection() : Pass("StrideSelection") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:

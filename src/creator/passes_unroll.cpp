@@ -30,8 +30,7 @@ class OperandSwapBeforeUnroll final : public Pass {
   OperandSwapBeforeUnroll() : Pass("OperandSwapBeforeUnroll") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:
@@ -66,8 +65,7 @@ class Unrolling final : public Pass {
   Unrolling() : Pass("Unrolling") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:
@@ -115,8 +113,7 @@ class OperandSwapAfterUnroll final : public Pass {
   OperandSwapAfterUnroll() : Pass("OperandSwapAfterUnroll") {}
 
   void run(GenerationState& state) override {
-    fanOut(state, [](const Kernel& kernel) { return expand(kernel); },
-           ExpandPurity::Pure);
+    fanOut(state, [](const Kernel& kernel) { return expand(kernel); });
   }
 
  private:

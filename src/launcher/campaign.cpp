@@ -24,30 +24,42 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// One pipeline item: a variant whose source has been prepared (e.g. batch
-/// compiled to an "so" unit by the native backend) and is ready to measure.
+/// One variant of a running campaign. Slots live in a deque that only the
+/// campaign thread appends to, so the pointer a worker holds to its slot
+/// stays valid while later variants arrive.
+struct Slot {
+  CampaignVariant variant;
+  VariantResult result;
+  bool miss = false;      ///< handed on for measurement (not resolved upfront)
+  bool measured = false;  ///< a measurement worker wrote `result`
+};
+
+/// A cache miss whose source a compile producer has prepared (e.g. batch
+/// compiled to an "so" unit by the native backend), ready to measure.
 struct PreparedVariant {
-  std::size_t index = 0;  ///< position in the campaign's variant vector
+  Slot* slot = nullptr;
   SourceUnit unit;
 };
 
-/// Bounded MPMC queue between the compile producers and the measurement
-/// workers. push() blocks while the queue is at capacity (bounding how far
-/// compilation can run ahead); pop() blocks until an item arrives or every
-/// producer has finished, then returns false.
-class BoundedQueue {
+/// Blocking MPMC queue between the campaign stages. push() blocks while the
+/// queue holds `capacity` items (0: unbounded), which bounds how far
+/// compilation can run ahead; pop() blocks until an item arrives or the
+/// queue is closed, then returns false.
+template <typename T>
+class BlockingQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
+  explicit BlockingQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  void push(PreparedVariant item) {
+  void push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
-    notFull_.wait(lock, [this] { return items_.size() < capacity_; });
+    notFull_.wait(lock, [this] {
+      return capacity_ == 0 || items_.size() < capacity_;
+    });
     items_.push_back(std::move(item));
     notEmpty_.notify_one();
   }
 
-  bool pop(PreparedVariant& out) {
+  bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     notEmpty_.wait(lock, [this] { return !items_.empty() || closed_; });
     if (items_.empty()) return false;
@@ -67,10 +79,25 @@ class BoundedQueue {
   std::mutex mutex_;
   std::condition_variable notFull_;
   std::condition_variable notEmpty_;
-  std::deque<PreparedVariant> items_;
+  std::deque<T> items_;
   std::size_t capacity_;
   bool closed_ = false;
 };
+
+/// Turns `r` into an error row, keeping its identity and the pre-flight
+/// annotations (verify verdict, static prediction) resolved upfront.
+void markFailed(VariantResult& r, std::string error) {
+  VariantResult failed;
+  failed.sequence = r.sequence;
+  failed.round = r.round;
+  failed.name = std::move(r.name);
+  failed.verify = std::move(r.verify);
+  failed.predCpiLo = r.predCpiLo;
+  failed.predBound = std::move(r.predBound);
+  failed.status = "error";
+  failed.error = std::move(error);
+  r = std::move(failed);
+}
 
 /// Maps the campaign's launch geometry onto the verifier's context so the
 /// MT-MEM bounds/alignment rules check exactly what the backends will
@@ -339,9 +366,19 @@ bool CampaignRunner::resolveUpfront(const CampaignVariant& variant,
 std::vector<VariantResult> CampaignRunner::run(
     const std::vector<CampaignVariant>& variants,
     const KernelRequest& request, CampaignCsvSink* sink) {
-  std::vector<VariantResult> results(variants.size());
-  if (variants.empty()) return results;
+  std::size_t next = 0;
+  return run(
+      [&variants, &next]() -> std::optional<CampaignVariant> {
+        if (next == variants.size()) return std::nullopt;
+        return variants[next++];
+      },
+      request, sink);
+}
 
+std::vector<VariantResult> CampaignRunner::run(const VariantSource& source,
+                                               const KernelRequest& request,
+                                               CampaignCsvSink* sink) {
+  if (!source) throw McError("campaign requires a variant source");
   // Pre-flight verification runs before the cache probe: a variant the
   // strict gate rejects must never be measured, even from cache, and its
   // verdict must reach the CSV.
@@ -350,276 +387,186 @@ std::vector<VariantResult> CampaignRunner::run(
     verifyOptions = verifyOptionsFor(request);
   }
 
-  // Resolve resume skips, verification skips and cache hits up front: when
-  // everything is already known, no backend is ever constructed — a fully
-  // cached rerun performs zero backend invocations.
-  std::vector<std::size_t> pending;
-  pending.reserve(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    if (!resolveUpfront(variants[i], i, verifyOptions, results[i], sink)) {
-      pending.push_back(i);
-    }
-  }
-  if (pending.empty()) return results;
+  const int jobs = options_.jobs;
+  const int compileJobs = options_.compileJobs;
+  const auto batchSize = static_cast<std::size_t>(options_.compileBatch);
+  std::deque<Slot> slots;
 
-  int jobs = std::min<int>(options_.jobs, static_cast<int>(pending.size()));
-  std::vector<std::unique_ptr<Backend>> backends;
-  backends.reserve(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    std::unique_ptr<Backend> backend = factory_(w);
+  // Backends are built on first use by the worker that owns them, so a
+  // fully resolved run (resume skips, strict skips, cache hits) constructs
+  // none. The factory itself is serialized: a test factory may count
+  // constructions in non-atomic state.
+  std::vector<std::unique_ptr<Backend>> backends(
+      static_cast<std::size_t>(jobs + compileJobs));
+  std::mutex factoryMutex;
+  auto backendFor = [this, &backends, &factoryMutex](int worker) -> Backend& {
+    std::lock_guard<std::mutex> lock(factoryMutex);
+    std::unique_ptr<Backend>& backend =
+        backends[static_cast<std::size_t>(worker)];
+    if (!backend) backend = factory_(worker);
     if (!backend) throw McError("backend factory returned null");
-    backends.push_back(std::move(backend));
-  }
-
-  // Measures variant `i` (whose source may have been rewritten by a compile
-  // producer) on the given worker's backend. The cache is always written
-  // with the ORIGINAL variant: a prepared "so" unit is a process-local
-  // artifact and must never leak into the content-addressed cache key.
-  std::vector<char> measured(variants.size(), 0);
-
-  auto measureTask = [this, &variants, &results, &backends, &request, sink,
-                      &measured](int worker, std::size_t i,
-                                 const CampaignVariant& prepared) {
-    KernelRequest workerRequest = request;
-    if (options_.pinWorkers) workerRequest.core = worker;
-    // Pre-flight annotations (verify verdict, static prediction) were
-    // resolved upfront on the campaign thread; carry them across runOne's
-    // fresh result.
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    results[i] = runOne(*backends[static_cast<std::size_t>(worker)], prepared,
-                        i, workerRequest);
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    measured[i] = 1;
-    if (results[i].status == "ok" && options_.cacheStore) {
-      options_.cacheStore(variants[i], results[i]);
-    }
-    // The observer, like the cache, always sees the ORIGINAL variant — a
-    // prepared "so" unit is a process-local artifact.
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
+    return *backend;
   };
 
-  threads::ThreadPool pool(jobs);
-
-  if (options_.compileJobs <= 0) {
-    for (std::size_t i : pending) {
-      pool.submit([&measureTask, &variants, i](int worker) {
-        measureTask(worker, i, variants[i]);
-      });
+  // Measures a slot's variant (whose source a compile producer may have
+  // rewritten) on the worker's backend. The cache and the row observer
+  // always see the ORIGINAL variant: a prepared "so" unit is a
+  // process-local artifact and must never leak into the cache key.
+  auto measure = [&](int worker, Slot& slot, const CampaignVariant& variant) {
+    VariantResult& r = slot.result;
+    try {
+      KernelRequest workerRequest = request;
+      if (options_.pinWorkers) workerRequest.core = worker;
+      VariantResult row =
+          runOne(backendFor(worker), variant, r.sequence, workerRequest);
+      row.verify = std::move(r.verify);
+      row.predCpiLo = r.predCpiLo;
+      row.predBound = std::move(r.predBound);
+      r = std::move(row);
+    } catch (const std::exception& e) {
+      markFailed(r, e.what());
     }
-    pool.wait();
-    return results;
-  }
+    slot.measured = true;
+    if (r.status == "ok" && options_.cacheStore) {
+      options_.cacheStore(slot.variant, r);
+    }
+    if (options_.rowObserver) options_.rowObserver(slot.variant, r);
+    if (sink) sink->append(r);
+  };
 
-  // Pipelined path: compile producers run prepareBatch() on groups of
-  // variants and stream the prepared units — individually, for worker load
-  // balance — through a bounded queue into the measurement pool. A variant
-  // whose preparation failed arrives unchanged and fails (with the real
-  // diagnostic) in the measurement worker's own loadSource, exactly like
-  // the unpipelined path.
-  std::size_t batchSize = static_cast<std::size_t>(options_.compileBatch);
-  std::size_t batches = (pending.size() + batchSize - 1) / batchSize;
-  int compileJobs =
-      std::min<int>(options_.compileJobs, static_cast<int>(batches));
-
-  std::vector<std::unique_ptr<Backend>> compileBackends;
-  compileBackends.reserve(static_cast<std::size_t>(compileJobs));
-  for (int j = 0; j < compileJobs; ++j) {
-    std::unique_ptr<Backend> backend = factory_(jobs + j);
-    if (!backend) throw McError("backend factory returned null");
-    compileBackends.push_back(std::move(backend));
-  }
-
+  // The measurement pool, and with the compile pipeline its producers, start
+  // on the first miss. Without the pipeline each miss is one pool task that
+  // compiles inline. With it, misses gather into batches of `compileBatch`;
+  // producer threads run prepareBatch() on each batch and stream the
+  // prepared units, one by one for load balance, through a bounded queue
+  // that the measurement workers drain. A variant whose preparation failed
+  // arrives unchanged and fails (with the real diagnostic) in the worker's
+  // own loadSource, exactly like the inline path.
+  std::unique_ptr<threads::ThreadPool> pool;
+  std::vector<std::thread> producers;
+  BlockingQueue<std::vector<Slot*>> batches(0);
   // Capacity bounds the compile lead: roughly one in-flight batch per
   // producer plus a batch of ready work per measurement worker.
-  BoundedQueue queue(batchSize *
-                     static_cast<std::size_t>(compileJobs + jobs));
-  std::atomic<std::size_t> nextBatch{0};
+  BlockingQueue<PreparedVariant> prepared(
+      batchSize * static_cast<std::size_t>(compileJobs + jobs));
   std::atomic<int> liveProducers{compileJobs};
+  std::vector<Slot*> batch;
 
   // The last producer to exit — on ANY path, including an exception that
-  // escapes the loop — must close the queue, or the measurement workers
-  // block in pop() forever. A destructor is the only spot that covers every
-  // exit, so the decrement lives in a scope guard rather than after the
-  // loop.
+  // escapes its loop — must close the prepared queue, or the measurement
+  // workers block in pop() forever. A destructor is the only spot that
+  // covers every exit, so the decrement lives in a scope guard.
   struct ProducerExit {
     std::atomic<int>& live;
-    BoundedQueue& queue;
+    BlockingQueue<PreparedVariant>& queue;
     ~ProducerExit() {
       if (live.fetch_sub(1) == 1) queue.close();
     }
   };
-
-  std::vector<std::thread> producers;
-  producers.reserve(static_cast<std::size_t>(compileJobs));
-  for (int j = 0; j < compileJobs; ++j) {
-    producers.emplace_back([&, j] {
-      ProducerExit exitGuard{liveProducers, queue};
-      Backend& backend = *compileBackends[static_cast<std::size_t>(j)];
-      std::size_t b;
-      while ((b = nextBatch.fetch_add(1)) < batches) {
-        std::size_t begin = b * batchSize;
-        std::size_t end = std::min(begin + batchSize, pending.size());
-        std::vector<SourceUnit> units;
-        units.reserve(end - begin);
-        for (std::size_t k = begin; k < end; ++k) {
-          const CampaignVariant& v = variants[pending[k]];
-          units.push_back(SourceUnit{v.kind, v.source, v.functionName});
-        }
-        std::vector<SourceUnit> prepared;
-        try {
-          prepared = backend.prepareBatch(units);
-        } catch (const McError& e) {
-          // prepareBatch contractually degrades instead of throwing; treat
-          // a throwing backend the same way — measure the originals.
-          log::warn("prepareBatch failed (" + e.message() +
-                    "); measuring unprepared sources");
-          prepared = units;
-        } catch (const std::exception& e) {
-          // Not just McError: bad_alloc, system_error from thread machinery,
-          // anything — an uncaught exception here used to skip the producer
-          // accounting and deadlock every measurement worker in pop().
-          log::warn(std::string("prepareBatch failed (") + e.what() +
-                    "); measuring unprepared sources");
-          prepared = units;
-        } catch (...) {
-          log::warn("prepareBatch failed (unknown exception); measuring "
-                    "unprepared sources");
-          prepared = units;
-        }
-        if (prepared.size() != units.size()) prepared = std::move(units);
-        for (std::size_t k = begin; k < end; ++k) {
-          queue.push(PreparedVariant{pending[k],
-                                     std::move(prepared[k - begin])});
-        }
+  auto produce = [&](int producer) {
+    ProducerExit exitGuard{liveProducers, prepared};
+    std::vector<Slot*> work;
+    while (batches.pop(work)) {
+      std::vector<SourceUnit> units;
+      units.reserve(work.size());
+      for (const Slot* slot : work) {
+        const CampaignVariant& v = slot->variant;
+        units.push_back(SourceUnit{v.kind, v.source, v.functionName});
       }
-    });
-  }
-
-  for (int w = 0; w < jobs; ++w) {
-    pool.submit([&measureTask, &variants, &queue](int worker) {
-      PreparedVariant item;
-      while (queue.pop(item)) {
-        CampaignVariant prepared = variants[item.index];
-        prepared.kind = std::move(item.unit.kind);
-        prepared.source = std::move(item.unit.text);
-        prepared.functionName = std::move(item.unit.functionName);
-        measureTask(worker, item.index, prepared);
+      std::vector<SourceUnit> ready;
+      try {
+        ready = backendFor(jobs + producer).prepareBatch(units);
+      } catch (const std::exception& e) {
+        // prepareBatch contractually degrades instead of throwing; treat a
+        // throwing backend (bad_alloc, a crashed compiler, anything) the same
+        // way — measure the originals.
+        log::warn(std::string("prepareBatch failed (") + e.what() +
+                  "); measuring unprepared sources");
+      } catch (...) {
+        log::warn("prepareBatch failed (unknown exception); measuring "
+                  "unprepared sources");
       }
-    });
-  }
-  pool.wait();
-  for (std::thread& producer : producers) producer.join();
-
-  // A producer that died before pushing its items leaves variants that no
-  // worker ever saw; their pre-initialized results still read status "ok".
-  // Surface them as errors (with a CSV row) instead of returning phantom
-  // successes.
-  for (std::size_t i : pending) {
-    if (measured[i]) continue;
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    results[i] = VariantResult{};
-    results[i].sequence = i;
-    results[i].round = options_.round;
-    results[i].name = variants[i].name;
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    results[i].status = "error";
-    results[i].error = "never measured: compile pipeline aborted";
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
-  }
-  return results;
-}
-
-std::vector<VariantResult> CampaignRunner::runStream(
-    const VariantSource& source, const KernelRequest& request,
-    CampaignCsvSink* sink) {
-  if (!source) throw McError("streaming campaign requires a variant source");
-  if (options_.compileJobs > 0) {
-    log::warn(
-        "streaming campaign ignores --compile-jobs: batching compiles would "
-        "re-serialize the stream; each worker compiles inline");
-  }
-  verify::VerifyOptions verifyOptions;
-  if (options_.verify != VerifyMode::Off) {
-    verifyOptions = verifyOptionsFor(request);
-  }
-
-  // Deques, not vectors: worker tasks hold references to their own slots
-  // while the campaign thread keeps appending, and deque growth never
-  // invalidates references to existing elements.
-  std::deque<CampaignVariant> variants;
-  std::deque<VariantResult> results;
-
-  // Pool and backends come into existence on the first cache miss, so a
-  // fully cached stream constructs zero backends — the same guarantee the
-  // batch path gets from its upfront resolve. Worker w's backend is built
-  // by that worker on its first task; the factory itself is serialized (a
-  // test factory may count constructions in non-atomic state).
-  std::unique_ptr<threads::ThreadPool> pool;
-  std::vector<std::unique_ptr<Backend>> backends(
-      static_cast<std::size_t>(options_.jobs));
-  std::mutex factoryMutex;
-
-  auto measureTask = [this, &variants, &results, &backends, &factoryMutex,
-                      &request, sink](int worker, std::size_t i) {
-    Backend* backend = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(factoryMutex);
-      auto& slot = backends[static_cast<std::size_t>(worker)];
-      if (!slot) slot = factory_(worker);
-      backend = slot.get();
+      if (ready.size() != units.size()) ready = std::move(units);
+      for (std::size_t k = 0; k < work.size(); ++k) {
+        prepared.push(PreparedVariant{work[k], std::move(ready[k])});
+      }
     }
-    std::string verdict = std::move(results[i].verify);
-    double predCpiLo = results[i].predCpiLo;
-    std::string predBound = std::move(results[i].predBound);
-    if (backend == nullptr) {
-      results[i] = VariantResult{};
-      results[i].sequence = i;
-      results[i].round = options_.round;
-      results[i].name = variants[i].name;
-      results[i].status = "error";
-      results[i].error = "backend factory returned null";
-    } else {
-      KernelRequest workerRequest = request;
-      if (options_.pinWorkers) workerRequest.core = worker;
-      results[i] = runOne(*backend, variants[i], i, workerRequest);
+  };
+  auto consume = [&measure, &prepared](int worker) {
+    PreparedVariant item;
+    while (prepared.pop(item)) {
+      const CampaignVariant& original = item.slot->variant;
+      CampaignVariant variant{original.name, std::move(item.unit.kind),
+                              std::move(item.unit.text),
+                              std::move(item.unit.functionName),
+                              original.contentId};
+      measure(worker, *item.slot, variant);
     }
-    results[i].verify = std::move(verdict);
-    results[i].predCpiLo = predCpiLo;
-    results[i].predBound = std::move(predBound);
-    if (results[i].status == "ok" && options_.cacheStore) {
-      options_.cacheStore(variants[i], results[i]);
-    }
-    if (options_.rowObserver) options_.rowObserver(variants[i], results[i]);
-    if (sink) sink->append(results[i]);
   };
 
-  std::size_t i = 0;
-  for (std::optional<CampaignVariant> next; (next = source());) {
-    variants.push_back(std::move(*next));
-    results.emplace_back();
-    if (!resolveUpfront(variants.back(), i, verifyOptions, results.back(),
-                        sink)) {
-      if (!pool) {
-        pool = std::make_unique<threads::ThreadPool>(options_.jobs);
+  auto dispatch = [&](Slot& slot) {
+    slot.miss = true;
+    if (!pool) {
+      pool = std::make_unique<threads::ThreadPool>(jobs);
+      if (compileJobs > 0) {
+        for (int w = 0; w < jobs; ++w) pool->submit(consume);
+        for (int j = 0; j < compileJobs; ++j) {
+          producers.emplace_back(produce, j);
+        }
       }
-      pool->submit([&measureTask, i](int worker) { measureTask(worker, i); });
     }
-    ++i;
+    if (compileJobs == 0) {
+      pool->submit([&measure, &slot](int worker) {
+        measure(worker, slot, slot.variant);
+      });
+      return;
+    }
+    batch.push_back(&slot);
+    if (batch.size() == batchSize) {
+      batches.push(std::move(batch));
+      batch.clear();
+    }
+  };
+
+  // Lets every dispatched variant finish: the last partial batch goes out,
+  // the producers drain and exit (the last one closing the prepared queue),
+  // then the pool idles.
+  auto drain = [&] {
+    if (!batch.empty()) batches.push(std::move(batch));
+    batches.close();
+    for (std::thread& producer : producers) producer.join();
+    if (pool) pool->wait();
+  };
+
+  try {
+    for (std::optional<CampaignVariant> next; (next = source());) {
+      Slot& slot = slots.emplace_back();
+      slot.variant = std::move(*next);
+      if (!resolveUpfront(slot.variant, slots.size() - 1, verifyOptions,
+                          slot.result, sink)) {
+        dispatch(slot);
+      }
+    }
+  } catch (...) {
+    drain();
+    throw;
   }
-  if (pool) pool->wait();
-  return std::vector<VariantResult>(
-      std::make_move_iterator(results.begin()),
-      std::make_move_iterator(results.end()));
+  drain();
+
+  std::vector<VariantResult> results;
+  results.reserve(slots.size());
+  for (Slot& slot : slots) {
+    if (slot.miss && !slot.measured) {
+      // A producer that died before pushing its items leaves variants no
+      // worker ever saw. Surface them as errors (with a CSV row) instead of
+      // returning phantom successes.
+      markFailed(slot.result, "never measured: compile pipeline aborted");
+      if (options_.rowObserver) options_.rowObserver(slot.variant, slot.result);
+      if (sink) sink->append(slot.result);
+    }
+    results.push_back(std::move(slot.result));
+  }
+  return results;
 }
 
 std::vector<std::string> CampaignRunner::csvHeader() {

@@ -112,9 +112,9 @@ struct CampaignOptions {
   /// Backend::prepareBatch() on groups of `compileBatch` variants and feed a
   /// bounded queue ahead of the measurement workers, so compiling variant
   /// N+k overlaps measuring variant N and pinned workers never block on the
-  /// compiler. 0 disables the pipeline (each worker compiles inline, the
-  /// pre-PR-4 behavior). Results are bit-identical either way: preparation
-  /// only transforms sources, never measures.
+  /// compiler. 0 disables the pipeline (each worker compiles inline).
+  /// Results are bit-identical either way: preparation only transforms
+  /// sources, never measures. Connect mode (bindRemoteCampaign) forces 0.
   int compileJobs = 0;
   int compileBatch = 8;  ///< variants per prepareBatch() call (>= 1)
 
@@ -146,10 +146,9 @@ struct CampaignOptions {
   std::set<std::pair<std::size_t, std::string>> completed;
 };
 
-/// Pull-based variant producer for streaming campaigns: returns the next
-/// variant, or nullopt when the stream is exhausted. Called only from the
-/// campaign thread, so implementations need no internal locking beyond
-/// whatever feeds them.
+/// Pull-based variant producer for CampaignRunner::run: returns the next
+/// variant, or nullopt when the source is exhausted. Called only from the
+/// campaign thread, so implementations need no internal locking.
 using VariantSource = std::function<std::optional<CampaignVariant>()>;
 
 /// Creates the Backend a given worker owns for the whole campaign. Workers
@@ -188,7 +187,7 @@ class CampaignCsvSink {
   bool headerWritten_ = false;
 };
 
-/// Dispatches a batch of variants across `jobs` worker threads. Each worker
+/// Dispatches a campaign's variants across `jobs` worker threads. Each worker
 /// owns the Backend the factory built for it; every variant gets a freshly
 /// reset backend, a cooperative timeout, one retry on ExecutionError, and
 /// adaptive repetition until its CV target or budget is reached — so results
@@ -204,19 +203,17 @@ class CampaignRunner {
                                  const KernelRequest& request,
                                  CampaignCsvSink* sink = nullptr);
 
-  /// Streaming run: pulls variants from `source` as they become available
-  /// (sequence = arrival order) and dispatches cache misses to the worker
-  /// pool immediately, so measurement overlaps whatever produces the
-  /// variants. The pool and each worker's Backend are created lazily on the
-  /// first miss — a fully cached stream still constructs zero backends.
-  /// Resume skips, verification and cache hooks behave exactly as in run();
-  /// on deterministic backends the results are bit-identical to batching
-  /// the same variants through run(). The compile pipeline is not used
-  /// (compileJobs is ignored with a warning): batching compiles would
-  /// re-serialize the stream.
-  std::vector<VariantResult> runStream(const VariantSource& source,
-                                       const KernelRequest& request,
-                                       CampaignCsvSink* sink = nullptr);
+  /// The campaign loop: pulls variants from `source` (sequence = arrival
+  /// order) and resolves each upfront — resume skip, verify pre-flight,
+  /// cache probe — on the calling thread. A miss goes straight to the
+  /// worker pool when compileJobs == 0; otherwise it joins a compile batch
+  /// that closes at compileBatch misses or when the source ends. Backends
+  /// are built lazily per worker, so a fully cached run constructs none.
+  /// On deterministic backends the results do not depend on jobs,
+  /// compileJobs or compileBatch.
+  std::vector<VariantResult> run(const VariantSource& source,
+                                 const KernelRequest& request,
+                                 CampaignCsvSink* sink = nullptr);
 
   static std::vector<std::string> csvHeader();
   static std::vector<std::string> csvRow(const VariantResult& result);

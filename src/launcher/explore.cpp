@@ -1,11 +1,7 @@
 #include "launcher/explore.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "creator/creator.hpp"
 #include "launcher/arch_registry.hpp"
@@ -14,7 +10,6 @@
 #include "launcher/sim_backend.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
-#include "support/log.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 
@@ -67,32 +62,6 @@ std::string cacheKey(const CampaignVariant& variant,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Bounded handoff between the generation producer thread and the campaign
-/// loop in streaming mode. The producer pushes verified variants (plus the
-/// one-shot StreamInfo); the campaign thread pulls them in order.
-/// `abandoned` releases a blocked producer when the consumer unwinds early.
-struct StreamChannel {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<CampaignVariant> queue;
-  std::size_t capacity = 0;
-  creator::PassManager::StreamInfo info;
-  bool infoSet = false;
-  bool closed = false;
-  bool abandoned = false;
-  std::exception_ptr error;
-};
-
-CampaignVariant variantFromProgram(creator::GeneratedProgram&& p) {
-  CampaignVariant v;
-  v.name = std::move(p.name);
-  v.kind = "asm";
-  v.source = std::move(p.asmText);
-  v.functionName = std::move(p.functionName);
-  v.contentId = std::move(p.contentId);
-  return v;
-}
 
 KernelRequest buildRequest(const ExploreOptions& options, int nbVectors) {
   KernelRequest request;
@@ -186,30 +155,14 @@ ExploreResult runExplore(const ExploreOptions& options,
   }
   if (options.seed) description.seed = *options.seed;
 
-  if (options.stream && options.search == SearchMode::Halving) {
-    throw McError(
-        "--stream requires the full sweep: the halving planner needs the "
-        "complete variant set before its first round");
-  }
   bool connectMode = !options.connectAddr.empty();
   if (connectMode && options.search == SearchMode::Halving) {
     throw McError(
         "--connect requires the full sweep: the halving planner adapts the "
         "protocol per round, which sharded workers cannot coordinate");
   }
-  if (connectMode && options.stream) {
-    // The campaign (its id and variant count) must be announced to the
-    // daemon before the first acquire, so connect mode generates in batch;
-    // dispatch itself still streams per variant.
-    log::warn("--connect announces the campaign upfront; --stream's "
-              "generation overlap is ignored");
-  }
 
-  creator::MicroCreator creator;
-  creator.setGenerateJobs(options.generateJobs);
-
-  // Backend resolution is independent of the generated programs, so both
-  // the batch and the streaming path share it up front.
+  // Backend resolution is independent of the generated programs.
   BackendFactory factory = options.backendFactory;
   std::string backendId = options.backendId;
   if (!factory) {
@@ -247,123 +200,10 @@ ExploreResult runExplore(const ExploreOptions& options,
   ExploreResult out;
   out.backendId = backendId;
 
-  if (options.stream && !connectMode) {
-    // §3 as a producer: generation runs on its own thread, handing verified
-    // variants through a bounded channel into a streaming campaign, so the
-    // first measurement starts as soon as the first variant is emitted.
-    StreamChannel channel;
-    channel.capacity =
-        std::max<std::size_t>(64, static_cast<std::size_t>(
-                                      options.campaign.jobs) * 8);
-    std::thread producer([&creator, &description, &channel] {
-      try {
-        creator.generateStream(
-            description,
-            [&channel](const creator::PassManager::StreamInfo& info) {
-              std::lock_guard<std::mutex> lock(channel.mutex);
-              channel.info = info;
-              channel.infoSet = true;
-              channel.cv.notify_all();
-            },
-            [&channel](creator::GeneratedProgram&& p) {
-              CampaignVariant v = variantFromProgram(std::move(p));
-              std::unique_lock<std::mutex> lock(channel.mutex);
-              channel.cv.wait(lock, [&channel] {
-                return channel.queue.size() < channel.capacity ||
-                       channel.abandoned;
-              });
-              if (channel.abandoned) return;  // consumer unwound; discard
-              channel.queue.push_back(std::move(v));
-              channel.cv.notify_all();
-            });
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(channel.mutex);
-        channel.error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(channel.mutex);
-      channel.closed = true;
-      channel.cv.notify_all();
-    });
-    // Covers every exit (including exceptions below): release a blocked
-    // producer, then join it before the channel leaves scope.
-    struct ProducerGuard {
-      StreamChannel& channel;
-      std::thread& producer;
-      ~ProducerGuard() {
-        {
-          std::lock_guard<std::mutex> lock(channel.mutex);
-          channel.abandoned = true;
-        }
-        channel.cv.notify_all();
-        if (producer.joinable()) producer.join();
-      }
-    } guard{channel, producer};
-
-    creator::PassManager::StreamInfo info;
-    {
-      std::unique_lock<std::mutex> lock(channel.mutex);
-      channel.cv.wait(lock,
-                      [&channel] { return channel.infoSet || channel.closed; });
-      if (!channel.infoSet) {
-        if (channel.error) std::rethrow_exception(channel.error);
-        throw McError("description generated no benchmark programs");
-      }
-      info = channel.info;
-    }
-    if (info.kernelCount == 0) {
-      std::unique_lock<std::mutex> lock(channel.mutex);
-      channel.cv.wait(lock, [&channel] { return channel.closed; });
-      if (channel.error) std::rethrow_exception(channel.error);
-      throw McError("description generated no benchmark programs");
-    }
-
-    // nbVectors comes from the pre-verification kernel shape (the emitted
-    // kernels' maximum arrayCount) — available before the first program
-    // finishes, unlike the batch path's post-verification maximum. The two
-    // can only differ when verification rejects every widest variant, in
-    // which case the surviving kernels simply get one array more than they
-    // dereference.
-    int nbVectors = options.nbVectors > 0
-                        ? options.nbVectors
-                        : std::max(1, info.maxArrayCount);
-    KernelRequest request = buildRequest(options, nbVectors);
-    out.request = request;
-
-    CampaignOptions campaign = options.campaign;
-    installPredict(campaign, makeAnnotator(options, request));
-    if (cache) makeCacheBinder(cache, backendId, request)(campaign);
-    CampaignRunner runner(std::move(factory), campaign);
-    std::size_t streamed = 0;
-    out.results = runner.runStream(
-        [&channel, &streamed]() -> std::optional<CampaignVariant> {
-          std::unique_lock<std::mutex> lock(channel.mutex);
-          channel.cv.wait(lock, [&channel] {
-            return !channel.queue.empty() || channel.closed;
-          });
-          if (channel.queue.empty()) return std::nullopt;
-          CampaignVariant v = std::move(channel.queue.front());
-          channel.queue.pop_front();
-          channel.cv.notify_all();
-          ++streamed;
-          return v;
-        },
-        request, sink);
-    {
-      // Batch parity: a generation failure fails the run, even when it
-      // struck after some variants were already measured.
-      std::lock_guard<std::mutex> lock(channel.mutex);
-      if (channel.error) std::rethrow_exception(channel.error);
-    }
-    out.generated = streamed;
-    tallyFullSweep(out);
-    if (cache) out.cacheTelemetry = cache->telemetry();
-    return out;
-  }
-
   // §3 in memory: the whole variant set goes straight into the campaign,
   // no .s round-trip through the filesystem.
   std::vector<creator::GeneratedProgram> programs =
-      creator.generate(description);
+      creator::MicroCreator().generate(description);
   if (programs.empty()) {
     throw McError("description generated no benchmark programs");
   }
@@ -386,12 +226,14 @@ ExploreResult runExplore(const ExploreOptions& options,
 
   out.generated = programs.size();
   out.request = request;
+  // Past this point only the variants are needed: free the generated IR
+  // before the campaign allocates, so it reuses that memory.
+  programs = {};
 
   if (connectMode) {
     // Sharded worker: the daemon resolves every variant (cache probe or
-    // lease). Dispatch MUST stream per variant — the batch path resolves
-    // every variant before its pool starts, so a worker at its lease cap
-    // would sleep in `defer` with nothing draining its queue.
+    // lease) while the campaign loop dispatches each miss at once, so a
+    // worker at its lease cap always has measurements in flight to drain.
     CampaignOptions campaign = options.campaign;
     installPredict(campaign, annotator);
     RemoteOptions remote;
@@ -407,7 +249,7 @@ ExploreResult runExplore(const ExploreOptions& options,
     // merged CSV/report is identical whatever the local order was.
     std::size_t offset = shardOffset(store->ordinal(), variants.size());
     std::size_t next = 0;
-    out.results = runner.runStream(
+    out.results = runner.run(
         [&variants, &next, offset]() -> std::optional<CampaignVariant> {
           if (next >= variants.size()) return std::nullopt;
           return variants[(offset + next++) % variants.size()];
@@ -443,7 +285,15 @@ ExploreResult runExplore(const ExploreOptions& options,
   installPredict(campaign, annotator);
   if (bindCache) bindCache(campaign);
   CampaignRunner runner(std::move(factory), campaign);
-  out.results = runner.run(variants, request, sink);
+  // The campaign takes each variant over as it pulls it; nothing reads the
+  // vector afterwards.
+  std::size_t next = 0;
+  out.results = runner.run(
+      [&variants, &next]() -> std::optional<CampaignVariant> {
+        if (next == variants.size()) return std::nullopt;
+        return std::move(variants[next++]);
+      },
+      request, sink);
   tallyFullSweep(out);
   if (cache) out.cacheTelemetry = cache->telemetry();
   return out;

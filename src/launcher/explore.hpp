@@ -43,18 +43,6 @@ struct ExploreOptions {
   std::optional<std::size_t> maxVariants;  ///< <maximum_benchmarks> override
   std::optional<std::uint64_t> seed;       ///< <seed> override
 
-  /// Worker threads for the per-kernel generation stages (fanOut expansion,
-  /// CodeEmission, Verification). 1 = serial; output is bit-identical
-  /// across job counts (--generate-jobs).
-  int generateJobs = 1;
-
-  /// Streaming producer mode (--stream): measurement starts as soon as the
-  /// first verified variant is emitted, so a cold run's wall-clock is
-  /// max(generate, measure) instead of the sum. Results, CSV rows and cache
-  /// records are identical to the batch path. Full sweeps only — the
-  /// halving planner needs the complete variant set per round.
-  bool stream = false;
-
   // -- execution -------------------------------------------------------------
   std::string backend = "sim";  ///< sim|native
   std::string arch = "nehalem_x5650_2s";

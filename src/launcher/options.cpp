@@ -92,7 +92,7 @@ cli::Parser makeLauncherParser() {
   parser.addInt("compile-jobs",
                 "Campaign: compile-pipeline producer threads that batch-"
                 "compile variants ahead of the measurement workers (0 = "
-                "compile inline)",
+                "compile inline, as --connect always does)",
                 0);
   parser.addInt("compile-batch",
                 "Campaign: variants grouped into one compiler invocation", 8);

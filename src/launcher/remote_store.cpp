@@ -11,6 +11,7 @@
 #include "launcher/explore.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/log.hpp"
 
 namespace microtools::launcher {
 
@@ -205,6 +206,16 @@ std::shared_ptr<RemoteResultStore> bindRemoteCampaign(
     const std::vector<CampaignVariant>& variants,
     const std::string& backendId, const KernelRequest& request,
     CampaignOptions& campaign) {
+  // A lookup that the daemon defers at this worker's lease cap would strand
+  // a partial compile batch whose leases only measurement can release, so
+  // connect mode compiles inline. The cap, max(2, 2 * jobs), is below the
+  // default batch of 8.
+  if (campaign.compileJobs > 0) {
+    log::warn("--connect compiles inline: --compile-jobs is ignored, because "
+              "a partial compile batch would hold leases the daemon's lease "
+              "cap needs back");
+    campaign.compileJobs = 0;
+  }
   // Key fields only: the hook-free copy both avoids self-capture and keeps
   // the keys identical to a local MeasurementCache run, so a daemon cache
   // directory and a single-process cache directory are interchangeable.

@@ -101,8 +101,10 @@ std::size_t shardOffset(std::size_t ordinal, std::size_t count);
 /// Binds an unmodified CampaignRunner to a serve daemon: computes every
 /// variant's cache key, announces the campaign, and installs the remote
 /// lookup (acquire) / store (publish) hooks plus the row observer that
-/// streams every terminal row to the daemon's canonical merge. Returns the
-/// connected store so the caller can read telemetry after the run.
+/// streams every terminal row to the daemon's canonical merge. Forces
+/// compileJobs = 0 (with a warning): batching compiles would hold leases
+/// that the daemon's per-worker cap needs released. Returns the connected
+/// store so the caller can read telemetry after the run.
 std::shared_ptr<RemoteResultStore> bindRemoteCampaign(
     const std::string& address, const RemoteOptions& options,
     const std::vector<CampaignVariant>& variants,

@@ -1,8 +1,5 @@
 #include "support/thread_pool.hpp"
 
-#include <algorithm>
-#include <exception>
-
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -62,38 +59,6 @@ void ThreadPool::workerLoop(int index) {
       --active_;
       if (queue_.empty() && active_ == 0) allIdle_.notify_all();
     }
-  }
-}
-
-void parallelFor(ThreadPool* pool, std::size_t count,
-                 const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (pool == nullptr || pool->workers() <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // Contiguous chunks keep cache locality and make "lowest failing index"
-  // cheap: the lowest-numbered chunk's first error is the global first error.
-  const auto workers = static_cast<std::size_t>(pool->workers());
-  const std::size_t chunks = std::min(count, workers * 4);
-  const std::size_t per = (count + chunks - 1) / chunks;
-  std::vector<std::exception_ptr> firstError(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    pool->submit([&body, &firstError, c, per, count](int) {
-      const std::size_t begin = c * per;
-      const std::size_t end = std::min(count, begin + per);
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          body(i);
-        } catch (...) {
-          if (!firstError[c]) firstError[c] = std::current_exception();
-        }
-      }
-    });
-  }
-  pool->wait();
-  for (std::exception_ptr& e : firstError) {
-    if (e) std::rethrow_exception(e);
   }
 }
 

@@ -48,15 +48,4 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs `body(i)` for every i in [0, count), spreading the indices over
-/// `pool` (nullptr or a single worker: plain serial loop in index order).
-/// Indices are dealt out in contiguous chunks; every invocation writes only
-/// state addressed by its own index, so any schedule produces the same
-/// result. Exceptions do not kill the pool: the exception thrown by the
-/// LOWEST failing index is rethrown here after every index ran — the same
-/// exception a serial loop would have surfaced first (later indices still
-/// execute, unlike a serial loop; see fanOut for the contract).
-void parallelFor(ThreadPool* pool, std::size_t count,
-                 const std::function<void(std::size_t)>& body);
-
 }  // namespace microtools::threads

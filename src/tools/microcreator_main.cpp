@@ -25,11 +25,6 @@ int main(int argc, char** argv) {
   parser.addFlag("names-only", "Print only the variant names");
   parser.addInt("max", "Override <maximum_benchmarks>");
   parser.addInt("seed", "Override <seed>");
-  parser.addInt("generate-jobs",
-                "Worker threads for the per-kernel generation stages "
-                "(variant expansion, code emission, verification); output "
-                "is bit-identical to --generate-jobs 1",
-                1);
   parser.addFlag("emit-c", "Also emit C source for each variant");
   parser.addFlag("verbose", "Enable info logging");
 
@@ -38,7 +33,6 @@ int main(int argc, char** argv) {
     if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
     creator::MicroCreator creator;
-    creator.setGenerateJobs(static_cast<int>(parser.getInt("generate-jobs")));
     for (const std::string& plugin : parser.getRepeated("plugin")) {
       creator.loadPlugin(plugin);
     }

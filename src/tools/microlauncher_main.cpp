@@ -189,9 +189,6 @@ int runCampaign(const LauncherOptions& options) {
         launcher::bindRemoteCampaign(options.connectAddr, remote, variants,
                                      backendId, options.toRequest(),
                                      campaign);
-    // Dispatch must stream per variant: the batch path resolves every
-    // variant before its pool starts, so a worker at its lease cap would
-    // sleep in `defer` with nothing draining its queue.
     launcher::CampaignRunner runner(factory, campaign);
     // Rotated traversal: the daemon's joining ordinal staggers where each
     // fleet member starts, so workers lease disjoint stretches; the row
@@ -199,7 +196,7 @@ int runCampaign(const LauncherOptions& options) {
     std::size_t offset =
         launcher::shardOffset(store->ordinal(), variants.size());
     std::size_t next = 0;
-    results = runner.runStream(
+    results = runner.run(
         [&variants, &next, offset]() -> std::optional<launcher::CampaignVariant> {
           if (next >= variants.size()) return std::nullopt;
           return variants[(offset + next++) % variants.size()];

@@ -72,15 +72,6 @@ cli::Parser makeExploreParser() {
                    "nehalem_x5650_2s");
   parser.addDouble("core-ghz", "Override the core frequency (DVFS study)");
   parser.addInt("jobs", "Parallel worker threads", 1);
-  parser.addInt("generate-jobs",
-                "Worker threads for the per-kernel generation stages "
-                "(variant expansion, code emission, verification); output "
-                "is bit-identical to --generate-jobs 1",
-                1);
-  parser.addFlag("stream",
-                 "Start measuring as soon as the first generated variant is "
-                 "verified, overlapping generation and measurement (full "
-                 "sweeps only; results are identical to the batch path)");
   parser.addInt("inner", "Inner repetitions per timed experiment", 8);
   parser.addInt("outer", "Outer (stability) repetitions", 10);
   parser.addFlag("no-warmup", "Skip the cache warm-up call");
@@ -96,7 +87,7 @@ cli::Parser makeExploreParser() {
   parser.addInt("compile-jobs",
                 "Compile-pipeline producer threads that batch-compile "
                 "variants ahead of the measurement workers (native backend; "
-                "0 = compile inline)",
+                "0 = compile inline, as --connect always does)",
                 0);
   parser.addInt("compile-batch",
                 "Variants grouped into one compiler invocation", 8);
@@ -193,8 +184,6 @@ int runExploreCommand(int argc, char** argv) {
   options.arch = parser.getString("arch");
   if (parser.has("core-ghz")) options.coreGHz = parser.getDouble("core-ghz");
   options.campaign.jobs = static_cast<int>(parser.getInt("jobs"));
-  options.generateJobs = static_cast<int>(parser.getInt("generate-jobs"));
-  options.stream = parser.getFlag("stream");
   options.campaign.protocol.innerRepetitions =
       static_cast<int>(parser.getInt("inner"));
   options.campaign.protocol.outerRepetitions =

@@ -618,56 +618,21 @@ TEST(Explore, StreamsCampaignRowsWithCachedColumn) {
   fs::remove_all(cacheDir);
 }
 
-TEST(Explore, StreamedColdRunMatchesBatchResults) {
-  auto a = std::make_shared<BackendCounters>();
-  ExploreOptions batch = baseOptions(uniqueTempDir("explore_stream_batch"), a);
-  batch.useCache = false;
-  ExploreResult reference = runExplore(batch);
-  ASSERT_GE(reference.results.size(), 2u);
-
-  auto b = std::make_shared<BackendCounters>();
-  ExploreOptions streamed =
-      baseOptions(uniqueTempDir("explore_stream_cold"), b);
-  streamed.useCache = false;
-  streamed.stream = true;
-  ExploreResult result = runExplore(streamed);
-
-  // Streaming reorders nothing: variants arrive in emission order, so rows,
-  // sequences and (deterministic-sim) measurements are bit-identical.
-  EXPECT_EQ(result.generated, reference.generated);
-  ASSERT_EQ(result.results.size(), reference.results.size());
-  EXPECT_EQ(result.request.arrays.size(), reference.request.arrays.size());
-  for (std::size_t i = 0; i < result.results.size(); ++i) {
-    const VariantResult& x = reference.results[i];
-    const VariantResult& y = result.results[i];
-    EXPECT_EQ(y.sequence, x.sequence);
-    EXPECT_EQ(y.name, x.name);
-    EXPECT_EQ(y.status, "ok") << y.error;
-    EXPECT_DOUBLE_EQ(y.measurement.cyclesPerIteration.min,
-                     x.measurement.cyclesPerIteration.min);
-    EXPECT_DOUBLE_EQ(y.measurement.cyclesPerIteration.mean,
-                     x.measurement.cyclesPerIteration.mean);
-    EXPECT_EQ(y.measurement.iterationsPerCall, x.measurement.iterationsPerCall);
-  }
-}
-
 TEST(Explore, StreamedWarmRunIsFullyCachedWithZeroFileOpens) {
+  // Every explore run streams its rows to the campaign sink as they finish;
+  // a warm run must serve all of them from the in-memory cache index.
   std::string cacheDir = uniqueTempDir("explore_stream_warm");
   auto cold = std::make_shared<BackendCounters>();
-  ExploreOptions coldOptions = baseOptions(cacheDir, cold);
-  coldOptions.stream = true;
-  ExploreResult first = runExplore(coldOptions);
+  ExploreResult first = runExplore(baseOptions(cacheDir, cold));
   ASSERT_GE(first.results.size(), 2u);
   EXPECT_EQ(first.measured, first.results.size());
   EXPECT_EQ(first.cacheTelemetry.misses, first.results.size());
 
   auto warm = std::make_shared<BackendCounters>();
-  ExploreOptions warmOptions = baseOptions(cacheDir, warm);
-  warmOptions.stream = true;
-  ExploreResult second = runExplore(warmOptions);
+  ExploreResult second = runExplore(baseOptions(cacheDir, warm));
   EXPECT_EQ(second.cacheHits, second.results.size());
   EXPECT_EQ(second.measured, 0u);
-  // A fully cached stream constructs zero backends...
+  // A fully cached run constructs zero backends...
   EXPECT_EQ(warm->constructed.load(), 0);
   EXPECT_EQ(warm->invokes.load(), 0);
   // ...and the indexed cache serves every probe from memory: the whole warm
@@ -676,55 +641,6 @@ TEST(Explore, StreamedWarmRunIsFullyCachedWithZeroFileOpens) {
   EXPECT_EQ(second.cacheTelemetry.misses, 0u);
   EXPECT_EQ(second.cacheTelemetry.recordFileReads, 0u);
   fs::remove_all(cacheDir);
-}
-
-TEST(Explore, StreamedAndBatchRunsShareCacheEntries) {
-  // The streaming path derives nbVectors pre-verification, the batch path
-  // post-verification; for a description where nothing is rejected the
-  // request — and therefore every cache key — must agree, so a batch-cold /
-  // stream-warm pair hits 100%.
-  std::string cacheDir = uniqueTempDir("explore_stream_share");
-  auto cold = std::make_shared<BackendCounters>();
-  runExplore(baseOptions(cacheDir, cold));
-
-  auto warm = std::make_shared<BackendCounters>();
-  ExploreOptions streamed = baseOptions(cacheDir, warm);
-  streamed.stream = true;
-  ExploreResult result = runExplore(streamed);
-  EXPECT_EQ(result.cacheHits, result.results.size());
-  EXPECT_EQ(warm->constructed.load(), 0);
-  fs::remove_all(cacheDir);
-}
-
-TEST(Explore, StreamRejectsHalvingSearch) {
-  auto counters = std::make_shared<BackendCounters>();
-  ExploreOptions options = baseOptions(uniqueTempDir("explore_stream_halving"),
-                                       counters);
-  options.stream = true;
-  options.search = SearchMode::Halving;
-  EXPECT_THROW(runExplore(options), McError);
-}
-
-TEST(Explore, GenerateJobsLeaveResultsBitIdentical) {
-  auto a = std::make_shared<BackendCounters>();
-  ExploreOptions serial = baseOptions(uniqueTempDir("explore_jobs1"), a);
-  serial.useCache = false;
-  serial.descriptionText = figure6Xml(1, 4, true);
-  ExploreResult reference = runExplore(serial);
-
-  auto b = std::make_shared<BackendCounters>();
-  ExploreOptions parallel = baseOptions(uniqueTempDir("explore_jobs4"), b);
-  parallel.useCache = false;
-  parallel.descriptionText = figure6Xml(1, 4, true);
-  parallel.generateJobs = 4;
-  ExploreResult result = runExplore(parallel);
-
-  ASSERT_EQ(result.results.size(), reference.results.size());
-  for (std::size_t i = 0; i < result.results.size(); ++i) {
-    EXPECT_EQ(result.results[i].name, reference.results[i].name);
-    EXPECT_DOUBLE_EQ(result.results[i].measurement.cyclesPerIteration.min,
-                     reference.results[i].measurement.cyclesPerIteration.min);
-  }
 }
 
 TEST(Explore, MaxVariantsAndSeedOverridesApply) {

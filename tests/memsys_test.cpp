@@ -206,8 +206,8 @@ TEST(MemSys, FrequencyScalingChangesOffcoreCycles) {
 // A seeded mixed stream on cores 0 and 1: sequential runs that train the
 // prefetcher, random lines over a footprint larger than L2, and line-
 // splitting stores. Returns every access result in order.
-std::vector<AccessResult> runStream(MemorySystem& ms, std::uint64_t seed,
-                                    std::uint64_t& cycle, int accesses) {
+std::vector<AccessResult> runAccesses(MemorySystem& ms, std::uint64_t seed,
+                                      std::uint64_t& cycle, int accesses) {
   Rng rng(seed);
   std::vector<AccessResult> results;
   std::uint64_t cursor = 0x100000;
@@ -248,11 +248,11 @@ TEST(MemSys, RestoredSnapshotEqualsSimulatedState) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MemorySystem a(testConfig());
     std::uint64_t cycle = 0;
-    runStream(a, seed * 100, cycle, 3000);
+    runAccesses(a, seed * 100, cycle, 3000);
     a.stateFingerprint(cycle);  // the snapshot covers changes after this
     MemorySystem b = a;
     std::uint64_t preCycle = cycle;
-    runStream(a, seed * 100 + 1, cycle, 3000);
+    runAccesses(a, seed * 100 + 1, cycle, 3000);
     MemorySystem::Snapshot snapshot = a.snapshotTouched();
     EXPECT_NE(a.stateFingerprint(cycle), b.stateFingerprint(cycle));
     b.restore(snapshot);
@@ -261,8 +261,8 @@ TEST(MemSys, RestoredSnapshotEqualsSimulatedState) {
 
     std::uint64_t cycleA = cycle;
     std::uint64_t cycleB = cycle;
-    expectSameResults(runStream(a, seed * 100 + 2, cycleA, 3000),
-                      runStream(b, seed * 100 + 2, cycleB, 3000));
+    expectSameResults(runAccesses(a, seed * 100 + 2, cycleA, 3000),
+                      runAccesses(b, seed * 100 + 2, cycleB, 3000));
     EXPECT_EQ(a.stateFingerprint(cycleA), b.stateFingerprint(cycleB));
   }
 }
@@ -274,17 +274,17 @@ TEST(MemSys, ResetEqualsFreshMachine) {
   for (bool fingerprintFirst : {false, true}) {
     MemorySystem used(testConfig());
     std::uint64_t cycle = 0;
-    runStream(used, 11, cycle, 3000);
+    runAccesses(used, 11, cycle, 3000);
     if (fingerprintFirst) used.stateFingerprint(cycle);
-    runStream(used, 12, cycle, 500);
+    runAccesses(used, 12, cycle, 500);
     used.reset();
     MemorySystem fresh(testConfig());
     EXPECT_EQ(used.stateFingerprint(0), fresh.stateFingerprint(0));
     EXPECT_EQ(used.levelCount(MemLevel::Ram), 0u);
     std::uint64_t cycleUsed = 0;
     std::uint64_t cycleFresh = 0;
-    expectSameResults(runStream(used, 13, cycleUsed, 3000),
-                      runStream(fresh, 13, cycleFresh, 3000));
+    expectSameResults(runAccesses(used, 13, cycleUsed, 3000),
+                      runAccesses(fresh, 13, cycleFresh, 3000));
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "creator/creator.hpp"
 #include "creator/passes.hpp"
@@ -556,6 +558,30 @@ TEST(PassManager, CustomPassObservesKernels) {
   auto programs = mc.generateFromText(figure6Xml(1, 4));
   EXPECT_EQ(observed, 2 + 4 + 8 + 16);
   EXPECT_EQ(programs.size(), 30u);
+}
+
+// ---------------------------------------------------------------------------
+// Naming contract
+// ---------------------------------------------------------------------------
+
+TEST(AssignVariantNames, FirstOccurrenceBareThenNumberedSuffixes) {
+  std::vector<std::string> names =
+      assignVariantNames({"a", "b", "a", "a", "b", "c"});
+  std::vector<std::string> expected = {"a", "b", "a_v2", "a_v3", "b_v2", "c"};
+  EXPECT_EQ(names, expected);
+}
+
+TEST(AssignVariantNames, DependsOnlyOnPositionAmongEqualBases) {
+  // Inserting an unrelated base name must not shift anyone else's suffix.
+  std::vector<std::string> before = assignVariantNames({"k", "k", "k"});
+  std::vector<std::string> after = assignVariantNames({"k", "x", "k", "k"});
+  EXPECT_EQ(before[0], after[0]);
+  EXPECT_EQ(before[1], after[2]);
+  EXPECT_EQ(before[2], after[3]);
+}
+
+TEST(AssignVariantNames, EmptyInputYieldsEmptyOutput) {
+  EXPECT_TRUE(assignVariantNames({}).empty());
 }
 
 }  // namespace

@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -483,7 +487,8 @@ TEST_F(ServeFixture, BackpressureDefersBeyondTheLeaseCap) {
 // ---------------------------------------------------------------------------
 
 /// Runs `workers` concurrent `runExplore --connect` workers against a fresh
-/// daemon, returning the daemon's canonical ranked report text.
+/// daemon, each asking for `compileJobs` compile producers, returning the
+/// daemon's canonical ranked report text.
 struct ShardedRun {
   std::string report;
   std::string csv;
@@ -492,7 +497,8 @@ struct ShardedRun {
   std::vector<std::size_t> measured;
 };
 
-ShardedRun runSharded(int workers, const std::string& cacheDir) {
+ShardedRun runSharded(int workers, const std::string& cacheDir,
+                      int compileJobs = 0) {
   ServeOptions serveOptions;
   serveOptions.cacheDir = cacheDir;
   std::string outDir = uniqueTempDir("serve_out_" + std::to_string(workers));
@@ -513,6 +519,7 @@ ShardedRun runSharded(int workers, const std::string& cacheDir) {
         ExploreOptions options = workerOptions(counters);
         options.connectAddr = server.boundAddress();
         options.workerName = "w" + std::to_string(w);
+        options.campaign.compileJobs = compileJobs;
         ExploreResult result = runExplore(options);
         run.constructed[static_cast<std::size_t>(w)] =
             counters->constructed.load();
@@ -556,6 +563,35 @@ TEST(ServeEndToEnd, FourWorkersMatchSingleProcessByteForByte) {
   EXPECT_EQ(totalMeasured, static_cast<std::size_t>(run.summary.leases));
   EXPECT_GT(run.summary.leases, 0u);
   EXPECT_LE(run.summary.leases, referenceResult.results.size());
+  EXPECT_EQ(run.summary.reissues, 0u);
+}
+
+TEST(ServeEndToEnd, CompileJobsStillCompleteInConnectMode) {
+  // Each worker's lease cap, max(2, 2 * jobs) = 4, is below one compile
+  // batch of 8, so a worker that batched compiles would hold its leases in a
+  // partial batch until the daemon re-issued them at their deadline, or
+  // wait on the daemon forever. Connect mode compiles inline instead.
+  auto refCounters = std::make_shared<BackendCounters>();
+  ExploreOptions reference = workerOptions(refCounters);
+  reference.useCache = false;
+  std::ostringstream referenceReport;
+  topKReport(runExplore(reference).results, 0).write(referenceReport);
+
+  std::promise<ShardedRun> promise;
+  std::future<ShardedRun> future = promise.get_future();
+  std::thread sweep([&promise] {
+    promise.set_value(runSharded(2, uniqueTempDir("serve_compile_jobs"), 2));
+  });
+  if (future.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // A hung sweep cannot be unwound from here; fail the binary outright.
+    std::fprintf(stderr, "connect-mode sweep with compileJobs = 2 hung\n");
+    std::_Exit(1);
+  }
+  sweep.join();
+  ShardedRun run = future.get();
+  EXPECT_EQ(run.report, referenceReport.str());
+  EXPECT_EQ(run.summary.campaignsFinalized, 1u);
   EXPECT_EQ(run.summary.reissues, 0u);
 }
 

@@ -304,12 +304,13 @@ TEST_F(ToolsTest, ExploreSecondRunIsFullyCached) {
 }
 
 TEST_F(ToolsTest, ExploreStreamWithParallelGenerationMatchesBatch) {
+  // Generation is one serial MicroCreator run; explore streams the measured
+  // rows of that batch and a warm rerun must serve every one from the cache.
   std::string small =
       writeTempXml(testing::figure6Xml(1, 2, false), "tools_stream.xml");
   std::string cacheDir = uniqueTempDir("tools_stream_cache");
   std::string command = std::string(MT_MICROTOOLS_PATH) + " explore " +
-                        small + " --stream --generate-jobs 4 "
-                        "--array-bytes 16384 --inner 1 --outer 3 "
+                        small + " --array-bytes 16384 --inner 1 --outer 3 "
                         "--max-repetitions 6 --top 5 --cache " + cacheDir;
 
   CommandResult first = run(command);
@@ -331,26 +332,24 @@ TEST_F(ToolsTest, ExploreStreamWithParallelGenerationMatchesBatch) {
       << second.output;
 }
 
-TEST_F(ToolsTest, ExploreStreamRejectsHalvingSearch) {
+TEST_F(ToolsTest, RemovedGenerationFlagsAreUnknown) {
+  // Generation is one serial MicroCreator run: the parallel and streaming
+  // front ends are gone, and so are their flags.
   std::string small =
-      writeTempXml(testing::figure6Xml(1, 2, false), "tools_streamh.xml");
-  CommandResult r = run(std::string(MT_MICROTOOLS_PATH) + " explore " +
-                        small + " --stream --search halving --no-cache "
-                        "--array-bytes 16384 --inner 1 --outer 3");
-  EXPECT_EQ(r.exitCode, 1);
-  EXPECT_NE(r.output.find("--stream requires the full sweep"),
-            std::string::npos)
-      << r.output;
-}
-
-TEST_F(ToolsTest, CreatorGenerateJobsKeepsNamesIdentical) {
-  CommandResult serial = run(std::string(MT_MICROCREATOR_PATH) + " " +
-                             xmlPath_ + " --names-only");
-  CommandResult parallel = run(std::string(MT_MICROCREATOR_PATH) + " " +
-                               xmlPath_ + " --names-only --generate-jobs 4");
-  EXPECT_EQ(serial.exitCode, 0);
-  EXPECT_EQ(parallel.exitCode, 0);
-  EXPECT_EQ(parallel.output, serial.output);
+      writeTempXml(testing::figure6Xml(1, 2, false), "tools_flags.xml");
+  for (const char* flag : {" --stream", " --generate-jobs 4"}) {
+    CommandResult explore = run(std::string(MT_MICROTOOLS_PATH) +
+                                " explore " + small + flag +
+                                " --no-cache --array-bytes 16384");
+    EXPECT_NE(explore.exitCode, 0) << flag;
+    EXPECT_NE(explore.output.find("unknown option"), std::string::npos)
+        << explore.output;
+  }
+  CommandResult creator = run(std::string(MT_MICROCREATOR_PATH) + " " +
+                              xmlPath_ + " --names-only --generate-jobs 4");
+  EXPECT_NE(creator.exitCode, 0);
+  EXPECT_NE(creator.output.find("unknown option"), std::string::npos)
+      << creator.output;
 }
 
 TEST_F(ToolsTest, ExploreWritesCampaignCsvAndReportFile) {
