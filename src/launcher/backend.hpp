@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,24 @@ struct KernelRequest {
   /// backend derives the exact value from the kernel's induction code.
   std::uint64_t chunkStrideBytes = 4;
 };
+
+/// The launch geometry every campaign front end reads from the same flags
+/// (--array-bytes, --alignment, --align-offset, --element-bytes, --n).
+struct KernelGeometry {
+  std::uint64_t arrayBytes = 1 << 20;  ///< size of each array
+  std::uint64_t alignment = 4096;      ///< array base alignment
+  std::uint64_t alignOffset = 0;       ///< extra offset of each array base
+  std::uint64_t elementBytes = 4;      ///< 4 = float (movss), 8 = double
+  std::optional<int> tripCount;        ///< explicit n; default below
+};
+
+/// Builds the request for `nbVectors` arrays of `geometry.arrayBytes` each;
+/// `perVectorBytes[i]` overrides the size of array i. The trip count is the
+/// explicit --n, else the elements of `elementBytes` that fit the first
+/// array; the element size is also the OpenMP chunk stride. Throws McError
+/// when no valid trip count results.
+KernelRequest buildRequest(const KernelGeometry& geometry, int nbVectors,
+                           const std::vector<std::uint64_t>& perVectorBytes = {});
 
 /// Hardware-counter sample accompanying one invocation. `valid` is false —
 /// and every value NaN — when no counter group is available (no perf, VM

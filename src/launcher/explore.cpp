@@ -63,26 +63,6 @@ std::string cacheKey(const CampaignVariant& variant,
 
 namespace {
 
-KernelRequest buildRequest(const ExploreOptions& options, int nbVectors) {
-  KernelRequest request;
-  request.chunkStrideBytes = options.elementBytes;
-  if (options.tripCount) {
-    request.n = *options.tripCount;
-  } else {
-    if (options.elementBytes == 0) throw McError("element bytes must be > 0");
-    std::uint64_t elements = options.arrayBytes / options.elementBytes;
-    if (elements == 0 || elements > 0x7fffffffull) {
-      throw McError("array size yields an invalid trip count");
-    }
-    request.n = static_cast<int>(elements);
-  }
-  for (int i = 0; i < nbVectors; ++i) {
-    request.arrays.push_back(
-        ArraySpec{options.arrayBytes, options.alignment, options.alignOffset});
-  }
-  return request;
-}
-
 /// Builds the cache binder over an open cache. The binder installs
 /// lookup/store hooks keyed on the options of whatever campaign it is
 /// applied to. The full sweep applies it once to the baseline options; the
@@ -120,12 +100,16 @@ CacheBinder makeCacheBinder(std::shared_ptr<MeasurementCache> cache,
   };
 }
 
-/// Builds the run's StaticAnnotator (nullptr when prediction is off); see
-/// launcher/predict.hpp for what it feeds.
-std::shared_ptr<StaticAnnotator> makeAnnotator(const ExploreOptions& options,
-                                               const KernelRequest& request) {
-  if (!options.predict) return nullptr;
-  return makeStaticAnnotator(options.arch, request);
+std::string sweepBackendId(const ExploreOptions& options) {
+  if (!options.backendId.empty()) return options.backendId;
+  if (options.backend != "sim") return options.backend;
+  std::string id = "sim:" + options.arch;
+  if (options.coreGHz) id += strings::format("@%.3fGHz", *options.coreGHz);
+  // Exact-mode results are bit-identical to fast-mode ones, but sharing a
+  // cache identity would let one serve the other's entries and make any
+  // fast-vs-exact comparison vacuous. Keep them separate.
+  if (options.simExact) id += ":exact";
+  return id;
 }
 
 void tallyFullSweep(ExploreResult& out) {
@@ -144,6 +128,21 @@ void tallyFullSweep(ExploreResult& out) {
 
 }  // namespace
 
+BackendFactory sweepBackendFactory(const ExploreOptions& options) {
+  if (options.backendFactory) return options.backendFactory;
+  if (options.backend != "sim") {
+    throw McError("backend '" + options.backend +
+                  "' requires an explicit backend factory");
+  }
+  sim::MachineConfig config = archByName(options.arch).config;
+  if (options.coreGHz) config.coreGHz = *options.coreGHz;
+  SimBackendOptions simOptions;
+  simOptions.memoize = !options.simExact;
+  return [config, simOptions](int) {
+    return std::make_unique<SimBackend>(config, simOptions);
+  };
+}
+
 ExploreResult runExplore(const ExploreOptions& options,
                          CampaignCsvSink* sink) {
   creator::Description description =
@@ -155,51 +154,6 @@ ExploreResult runExplore(const ExploreOptions& options,
   }
   if (options.seed) description.seed = *options.seed;
 
-  bool connectMode = !options.connectAddr.empty();
-  if (connectMode && options.search == SearchMode::Halving) {
-    throw McError(
-        "--connect requires the full sweep: the halving planner adapts the "
-        "protocol per round, which sharded workers cannot coordinate");
-  }
-
-  // Backend resolution is independent of the generated programs.
-  BackendFactory factory = options.backendFactory;
-  std::string backendId = options.backendId;
-  if (!factory) {
-    if (options.backend != "sim") {
-      throw McError("explore backend '" + options.backend +
-                    "' requires an explicit backend factory");
-    }
-    sim::MachineConfig config = archByName(options.arch).config;
-    if (options.coreGHz) config.coreGHz = *options.coreGHz;
-    SimBackendOptions simOptions;
-    simOptions.memoize = !options.simExact;
-    factory = [config, simOptions](int) {
-      return std::make_unique<SimBackend>(config, simOptions);
-    };
-  }
-  if (backendId.empty()) {
-    backendId = options.backend == "sim" ? "sim:" + options.arch
-                                         : options.backend;
-    if (options.coreGHz) {
-      backendId += strings::format("@%.3fGHz", *options.coreGHz);
-    }
-    // Exact-mode results are bit-identical to fast-mode ones, but sharing a
-    // cache identity would let one serve the other's entries and make any
-    // fast-vs-exact comparison vacuous. Keep them separate.
-    if (options.backend == "sim" && options.simExact) backendId += ":exact";
-  }
-
-  std::shared_ptr<MeasurementCache> cache;
-  if (options.useCache && !connectMode) {
-    // In connect mode the serve daemon owns the one shared cache; a local
-    // cache would shadow it and desynchronize the workers' hit accounting.
-    cache = std::make_shared<MeasurementCache>(options.cacheDir);
-  }
-
-  ExploreResult out;
-  out.backendId = backendId;
-
   // §3 in memory: the whole variant set goes straight into the campaign,
   // no .s round-trip through the filesystem.
   std::vector<creator::GeneratedProgram> programs =
@@ -207,8 +161,6 @@ ExploreResult runExplore(const ExploreOptions& options,
   if (programs.empty()) {
     throw McError("description generated no benchmark programs");
   }
-  std::vector<CampaignVariant> variants = variantsFromPrograms(programs);
-
   int nbVectors = options.nbVectors;
   if (nbVectors <= 0) {
     // Derive the array count the kernels actually dereference.
@@ -217,30 +169,49 @@ ExploreResult runExplore(const ExploreOptions& options,
       nbVectors = std::max(nbVectors, p.arrayCount);
     }
   }
-  KernelRequest request = buildRequest(options, nbVectors);
-
-  CacheBinder bindCache;
-  if (cache) bindCache = makeCacheBinder(cache, backendId, request);
-
-  std::shared_ptr<StaticAnnotator> annotator = makeAnnotator(options, request);
-
-  out.generated = programs.size();
-  out.request = request;
+  std::vector<CampaignVariant> variants = variantsFromPrograms(programs);
   // Past this point only the variants are needed: free the generated IR
   // before the campaign allocates, so it reuses that memory.
   programs = {};
+  return runSweep(std::move(variants), buildRequest(options, nbVectors),
+                  options, sink);
+}
+
+ExploreResult runSweep(std::vector<CampaignVariant> variants,
+                       const KernelRequest& request,
+                       const ExploreOptions& options, CampaignCsvSink* sink) {
+  bool connectMode = !options.connectAddr.empty();
+  if (connectMode && options.search == SearchMode::Halving) {
+    throw McError(
+        "--connect requires the full sweep: the halving planner adapts the "
+        "protocol per round, which sharded workers cannot coordinate");
+  }
+  BackendFactory factory = sweepBackendFactory(options);
+
+  ExploreResult out;
+  out.backendId = sweepBackendId(options);
+  out.generated = variants.size();
+  out.request = request;
+
+  CampaignOptions campaign = options.campaign;
+  // The cost model prices the simulated `arch`. Its bound is printed only
+  // next to a backend that runs that machine; on native it still orders
+  // the halving planner's screening, which needs no soundness.
+  std::shared_ptr<StaticAnnotator> annotator;
+  if (options.predict) annotator = makeStaticAnnotator(options.arch, request);
+  if (options.backend != "native") installPredict(campaign, annotator);
 
   if (connectMode) {
-    // Sharded worker: the daemon resolves every variant (cache probe or
-    // lease) while the campaign loop dispatches each miss at once, so a
-    // worker at its lease cap always has measurements in flight to drain.
-    CampaignOptions campaign = options.campaign;
-    installPredict(campaign, annotator);
+    // Sharded worker: the daemon owns the one shared cache (a local one
+    // would shadow it) and resolves every variant — cache probe or lease —
+    // while the campaign loop dispatches each miss at once, so a worker at
+    // its lease cap always has measurements in flight to drain.
     RemoteOptions remote;
     remote.worker = options.workerName;
     remote.jobs = campaign.jobs;
     std::shared_ptr<RemoteResultStore> store = bindRemoteCampaign(
-        options.connectAddr, remote, variants, backendId, request, campaign);
+        options.connectAddr, remote, variants, out.backendId, request,
+        campaign);
     CampaignRunner runner(std::move(factory), campaign);
     // Rotated traversal: start where the daemon's joining ordinal points,
     // so fleet members lease disjoint stretches of the variant space
@@ -260,10 +231,15 @@ ExploreResult runExplore(const ExploreOptions& options,
     return out;
   }
 
+  std::shared_ptr<MeasurementCache> cache;
+  CacheBinder bindCache;
+  if (options.useCache) {
+    cache = std::make_shared<MeasurementCache>(options.cacheDir);
+    bindCache = makeCacheBinder(cache, out.backendId, request);
+  }
+
   if (options.search == SearchMode::Halving) {
-    CampaignOptions campaign = options.campaign;
     PlannerOptions planner = options.planner;
-    installPredict(campaign, annotator);
     installPlannerHooks(planner, annotator);
     PlannerResult planned = runSuccessiveHalving(
         variants, request, factory, campaign, planner, bindCache, sink);
@@ -281,8 +257,6 @@ ExploreResult runExplore(const ExploreOptions& options,
     return out;
   }
 
-  CampaignOptions campaign = options.campaign;
-  installPredict(campaign, annotator);
   if (bindCache) bindCache(campaign);
   CampaignRunner runner(std::move(factory), campaign);
   // The campaign takes each variant over as it pulls it; nothing reads the

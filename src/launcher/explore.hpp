@@ -34,8 +34,9 @@ std::string cacheKey(const CampaignVariant& variant,
 // ---------------------------------------------------------------------------
 
 /// Knobs of one `microtools explore` run: description in, ranked results
-/// out, with every measurement flowing creator -> campaign in memory.
-struct ExploreOptions {
+/// out, with every measurement flowing creator -> campaign in memory. The
+/// inherited KernelGeometry is the launch geometry of every variant.
+struct ExploreOptions : KernelGeometry {
   std::string descriptionFile;  ///< XML kernel description path
   std::string descriptionText;  ///< inline XML (tests); used when file == ""
 
@@ -58,7 +59,8 @@ struct ExploreOptions {
   /// Static cost-model integration (`--no-predict` turns it off). When on,
   /// every asm variant is annotated with the port-level cycles/iteration
   /// lower bound (CSV columns pred_cpi_lo/pred_bound/pred_err, priced
-  /// against `arch`), the halving planner seeds its screening round in
+  /// against `arch`; left empty on the native backend, where that machine
+  /// is not the host), the halving planner seeds its screening round in
   /// predicted order, and provably-stable variants screen with
   /// planner.stableScreenRepetitions instead of planner.screenRepetitions.
   /// Predictions are recomputed per run and never cached; measured values
@@ -77,19 +79,14 @@ struct ExploreOptions {
   /// ("native" requires an explicit factory — the CLI provides one).
   BackendFactory backendFactory;
 
-  /// Cache-key identity of the execution environment; derived from
-  /// backend/arch/coreGHz when empty. Must be set alongside a custom
-  /// backendFactory.
+  /// Cache-key identity of the execution environment; derived from the
+  /// backend (and on sim from arch/coreGHz/simExact) when empty. Must be
+  /// set alongside a custom backendFactory.
   std::string backendId;
 
-  // -- kernel request --------------------------------------------------------
+  // -- kernel request (the geometry is inherited) ----------------------------
   int nbVectors = 0;  ///< arrays passed to the kernel; 0 = derive from
                       ///< the generated programs' array counts
-  std::uint64_t arrayBytes = 1 << 20;
-  std::uint64_t alignment = 4096;
-  std::uint64_t alignOffset = 0;
-  std::uint64_t elementBytes = 4;
-  std::optional<int> tripCount;  ///< explicit n; default from first array
 
   // -- cache -----------------------------------------------------------------
   std::string cacheDir = ".microtools-cache";
@@ -109,7 +106,8 @@ struct ExploreOptions {
 /// Outcome of one exploration run.
 struct ExploreResult {
   std::vector<VariantResult> results;  ///< sequence order
-  std::size_t generated = 0;           ///< programs MicroCreator emitted
+  std::size_t generated = 0;           ///< variants swept (explore: the
+                                       ///< programs MicroCreator emitted)
   std::size_t cacheHits = 0;           ///< variants served from the cache
   std::size_t measured = 0;            ///< variants actually executed
   std::size_t skipped = 0;  ///< resumed from a CSV or verify-strict skipped
@@ -135,11 +133,28 @@ struct ExploreResult {
 };
 
 /// The end-to-end pipeline (§3 + §4 fused): parse the description, generate
-/// every variant in memory, resolve cache hits, measure only what is new,
-/// and stream rows into `sink` as they complete. No intermediate .s files
+/// every variant in memory, then runSweep() them. No intermediate .s files
 /// ever touch the filesystem.
 ExploreResult runExplore(const ExploreOptions& options,
                          CampaignCsvSink* sink = nullptr);
+
+/// The measurement half of runExplore, which `microlauncher --campaign`
+/// runs over a directory of kernels: resolves the backend factory and
+/// identity, opens the measurement cache (options.useCache, never with
+/// --connect), wires the static cost model, and dispatches once — to the
+/// serve daemon (connectAddr), the halving planner, or the full sweep. The
+/// full sweep moves each variant into the campaign as it pulls it; rows
+/// stream into `sink` as they complete. The description and generation
+/// fields of `options` are ignored.
+ExploreResult runSweep(std::vector<CampaignVariant> variants,
+                       const KernelRequest& request,
+                       const ExploreOptions& options,
+                       CampaignCsvSink* sink = nullptr);
+
+/// The backend factory a sweep over `options` uses: options.backendFactory
+/// when set, else a SimBackend of `arch` (at `coreGHz`, fully simulated
+/// under `simExact`). Throws McError for another backend without a factory.
+BackendFactory sweepBackendFactory(const ExploreOptions& options);
 
 /// Renders the ranked report: the `k` best status-ok variants by minimum
 /// cycles/iteration (the paper's plotted metric), with CV, convergence and

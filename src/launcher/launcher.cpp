@@ -6,6 +6,33 @@
 
 namespace microtools::launcher {
 
+KernelRequest buildRequest(const KernelGeometry& geometry, int nbVectors,
+                           const std::vector<std::uint64_t>& perVectorBytes) {
+  KernelRequest request;
+  request.chunkStrideBytes = geometry.elementBytes;
+  for (int i = 0; i < nbVectors; ++i) {
+    auto index = static_cast<std::size_t>(i);
+    request.arrays.push_back(ArraySpec{index < perVectorBytes.size()
+                                           ? perVectorBytes[index]
+                                           : geometry.arrayBytes,
+                                       geometry.alignment,
+                                       geometry.alignOffset});
+  }
+  if (geometry.tripCount) {
+    request.n = *geometry.tripCount;
+    return request;
+  }
+  if (geometry.elementBytes == 0) throw McError("--element-bytes must be > 0");
+  std::uint64_t bytes = perVectorBytes.empty() ? geometry.arrayBytes
+                                               : perVectorBytes.front();
+  std::uint64_t elements = bytes / geometry.elementBytes;
+  if (elements == 0 || elements > 0x7fffffffull) {
+    throw McError("array size yields an invalid trip count");
+  }
+  request.n = static_cast<int>(elements);
+  return request;
+}
+
 std::vector<std::vector<std::uint64_t>> alignmentConfigurations(
     std::size_t arrayCount, const AlignmentSweepSpec& spec) {
   if (arrayCount == 0) throw McError("alignment sweep needs >= 1 array");

@@ -73,7 +73,7 @@ void ServeServer::acceptLoop() {
     try {
       socket = listener_.accept(200);
     } catch (const McError&) {
-      return;  // listener closed by requestStop
+      return;  // listener shut down by requestStop
     }
     if (!socket.valid()) continue;
     std::lock_guard<std::mutex> lock(threadsMutex_);
@@ -380,12 +380,12 @@ void ServeServer::finalizeRemaining() {
 }
 
 void ServeServer::requestStop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  listener_.close();  // wakes the accept poll
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_) return;
+  stopping_ = true;
+  // Wakes the accept poll. wait() closes the descriptor once the accept
+  // thread, which reads it, has been joined.
+  listener_.shutdown();
 }
 
 void ServeServer::wait() {
@@ -395,6 +395,10 @@ void ServeServer::wait() {
     stopped_ = true;
   }
   if (acceptThread_.joinable()) acceptThread_.join();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    listener_.close();
+  }
 
   // Drain: give in-flight leases a bounded chance to be acked (store/row)
   // over the still-open connections before those are cut.

@@ -213,6 +213,10 @@ Socket Listener::accept(int timeoutMs) {
   return Socket(fd);
 }
 
+void Listener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (fd_ >= 0) {
     ::close(fd_);

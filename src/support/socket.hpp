@@ -59,11 +59,17 @@ class Listener {
   const std::string& boundSpec() const { return boundSpec_; }
 
   /// Waits up to `timeoutMs` for a connection; an invalid Socket on
-  /// timeout. Throws on listener errors (including a concurrent close()).
+  /// timeout. Throws on listener errors, including after shutdown().
   Socket accept(int timeoutMs);
 
-  /// Closes the listening descriptor (and unlinks a Unix socket path),
-  /// waking any accept() blocked in poll.
+  /// Stops accepting and wakes an accept() blocked in poll on another
+  /// thread, which then throws. Unlike close() it only reads the
+  /// descriptor, so it is safe while that thread is in accept().
+  void shutdown();
+
+  /// Closes the listening descriptor (and unlinks a Unix socket path).
+  /// Not safe while another thread is in accept(): shutdown() that thread
+  /// out and join it first.
   void close();
 
  private:

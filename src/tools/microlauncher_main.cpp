@@ -10,23 +10,19 @@
 #include <sstream>
 
 #include "launcher/arch_registry.hpp"
-#include "launcher/campaign.hpp"
+#include "launcher/campaign_flags.hpp"
 #include "launcher/launcher.hpp"
 #include "launcher/options.hpp"
-#include "launcher/planner.hpp"
-#include "launcher/predict.hpp"
-#include "launcher/remote_store.hpp"
-#include "launcher/sim_backend.hpp"
 #include "native/affinity.hpp"
-#include "native/compile.hpp"
 #include "native/native_backend.hpp"
 #include "native/timing.hpp"
-#include "support/envinfo.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
+#include "tools/campaign_front.hpp"
 
 using namespace microtools;
+using launcher::CampaignFlags;
 using launcher::LauncherOptions;
 
 namespace {
@@ -47,16 +43,14 @@ std::string detectKind(const LauncherOptions& options) {
   return "asm";
 }
 
-std::unique_ptr<launcher::Backend> makeBackend(const LauncherOptions& o) {
-  if (o.backend == "native") {
-    native::NativeBackendOptions nb;
-    nb.compileCacheDir = o.compileCacheDir;
-    nb.perfCounters = o.perfCounters;
-    return std::make_unique<native::NativeBackend>(std::move(nb));
-  }
-  sim::MachineConfig config = launcher::archByName(o.arch).config;
-  if (o.coreGHz) config.coreGHz = *o.coreGHz;
-  return std::make_unique<launcher::SimBackend>(config);
+/// The request every mode runs: the shared launch geometry over the
+/// launcher's own array count, per-array sizes and pinned core.
+launcher::KernelRequest toRequest(const LauncherOptions& options,
+                                  const CampaignFlags& flags) {
+  launcher::KernelRequest request = launcher::buildRequest(
+      flags.sweep, options.nbVectors, options.arrayBytesPerVector);
+  request.core = options.pinCore;
+  return request;
 }
 
 std::unique_ptr<launcher::KernelHandle> loadKernel(
@@ -109,155 +103,63 @@ int runStandalone(const LauncherOptions& options) {
   return failures == 0 ? 0 : 1;
 }
 
-int runCampaign(const LauncherOptions& options) {
+int runCampaign(const LauncherOptions& options, CampaignFlags& flags) {
   std::vector<launcher::CampaignVariant> variants =
       launcher::loadCampaignDirectory(options.campaignDir, options.function);
+  // Rows stream as variants finish: to the --csv file when given
+  // (append-safe across reruns), to stdout otherwise.
+  std::unique_ptr<launcher::CampaignCsvSink> sink =
+      tools::openCampaignCsv(flags);
+  if (!sink) sink = std::make_unique<launcher::CampaignCsvSink>(std::cout);
+  flags.sweep.useCache = false;
+  launcher::ExploreResult result =
+      launcher::runSweep(std::move(variants), toRequest(options, flags),
+                         flags.sweep, sink.get());
 
-  launcher::CampaignOptions campaign;
-  campaign.jobs = options.jobs;
-  campaign.protocol = options.toProtocol();
-  campaign.maxCv = options.maxCv;
-  campaign.maxRepetitions = options.maxRepetitions;
-  campaign.variantTimeoutMs = options.variantTimeoutMs;
-  campaign.compileJobs = options.compileJobs;
-  campaign.compileBatch = options.compileBatch;
-  campaign.verify = launcher::verifyModeFromName(options.verifyMode);
-  // Native workers time on real cores: spread them so they don't fight
-  // over one. The simulator pins inside its own machine model instead.
-  campaign.pinWorkers = options.backend == "native";
-
-  // Static cost-model annotation (pred_cpi_lo/pred_bound/pred_err CSV
-  // columns), priced against --arch; --no-predict turns it off.
-  std::shared_ptr<launcher::StaticAnnotator> annotator;
-  if (options.predict) {
-    annotator =
-        launcher::makeStaticAnnotator(options.arch, options.toRequest());
-  }
-  launcher::installPredict(campaign, annotator);
-
-  bool halving = options.searchMode == "halving";
-  if (!options.connectAddr.empty() && halving) {
-    throw McError(
-        "--connect requires the full sweep: the halving planner adapts the "
-        "protocol per round, which sharded workers cannot coordinate");
-  }
-
-  // Resuming into an existing CSV: rows already completed there are
-  // skipped, so an interrupted campaign restart pays only for what is
-  // missing. A halving search resumes per round instead — the planner
-  // reads the file round by round.
-  if (!options.csvOutput.empty() && !halving) {
-    campaign.completed = launcher::readCompletedVariants(options.csvOutput);
-  }
-
-  // Stream rows as variants finish — to the CSV file when given (append-safe
-  // across reruns), to stdout otherwise.
-  std::unique_ptr<launcher::CampaignCsvSink> sink;
-  if (!options.csvOutput.empty()) {
-    // New files get an environment-snapshot preamble so two campaign CSVs
-    // are comparable on their face (bench-diff reports drift).
-    env::EnvSnapshot snapshot = env::captureEnv();
-    if (options.backend == "native") {
-      snapshot.set("compiler",
-                   native::compilerIdentity(options.compileCacheDir));
-    }
-    sink = std::make_unique<launcher::CampaignCsvSink>(
-        options.csvOutput, env::toCsvComments(snapshot));
-  } else {
-    sink = std::make_unique<launcher::CampaignCsvSink>(std::cout);
-  }
-
-  launcher::BackendFactory factory = [&options](int) {
-    return makeBackend(options);
-  };
-
-  std::vector<launcher::VariantResult> results;
-  if (!options.connectAddr.empty()) {
-    // Sharded worker against a `microtools serve` daemon. The backend
-    // identity mirrors the explore driver's so both kinds of worker (and a
-    // single-process run over the daemon's cache directory) share keys.
-    std::string backendId = options.backend == "sim"
-                                ? "sim:" + options.arch
-                                : options.backend;
-    if (options.coreGHz) {
-      backendId += strings::format("@%.3fGHz", *options.coreGHz);
-    }
-    launcher::RemoteOptions remote;
-    remote.worker = options.workerName;
-    remote.jobs = campaign.jobs;
-    std::shared_ptr<launcher::RemoteResultStore> store =
-        launcher::bindRemoteCampaign(options.connectAddr, remote, variants,
-                                     backendId, options.toRequest(),
-                                     campaign);
-    launcher::CampaignRunner runner(factory, campaign);
-    // Rotated traversal: the daemon's joining ordinal staggers where each
-    // fleet member starts, so workers lease disjoint stretches; the row
-    // observer rewrites sequences back to the canonical order.
-    std::size_t offset =
-        launcher::shardOffset(store->ordinal(), variants.size());
-    std::size_t next = 0;
-    results = runner.run(
-        [&variants, &next, offset]() -> std::optional<launcher::CampaignVariant> {
-          if (next >= variants.size()) return std::nullopt;
-          return variants[(offset + next++) % variants.size()];
-        },
-        options.toRequest(), sink.get());
-    const launcher::CacheTelemetry t = store->telemetry();
+  bool toFile = !flags.csvPath.empty();
+  if (!flags.sweep.connectAddr.empty()) {
+    const launcher::CacheTelemetry& t = result.cacheTelemetry;
     std::fprintf(stderr, "service: %s (%llu hit(s), %llu lease(s) "
                  "measured)\n",
-                 options.connectAddr.c_str(),
+                 flags.sweep.connectAddr.c_str(),
                  static_cast<unsigned long long>(t.hits),
                  static_cast<unsigned long long>(t.misses));
-  } else if (halving) {
-    launcher::PlannerOptions planner;
-    planner.screenRepetitions = options.screenRepetitions;
-    planner.stableScreenRepetitions = options.stableScreenRepetitions;
-    planner.budget = launcher::parseBudget(options.budget);
-    if (!options.csvOutput.empty()) planner.resumeCsv = options.csvOutput;
-    launcher::installPlannerHooks(planner, annotator);
-    launcher::PlannerResult planned = launcher::runSuccessiveHalving(
-        variants, options.toRequest(), factory, campaign, planner,
-        /*bindCache=*/nullptr, sink.get());
-    results = std::move(planned.results);
-    if (!options.csvOutput.empty()) {
-      std::printf("halving: %zu of %zu variant(s) at full fidelity after "
-                  "%zu round(s), %lld work repetition(s), stop: %s\n",
-                  planned.fullFidelityVariants, variants.size(),
-                  planned.rounds.size(), planned.workRepetitions,
-                  planned.stopReason.c_str());
-    }
-  } else {
-    launcher::CampaignRunner runner(factory, campaign);
-    results = runner.run(variants, options.toRequest(), sink.get());
+  } else if (flags.sweep.search == launcher::SearchMode::Halving && toFile) {
+    std::printf("halving: %zu of %zu variant(s) at full fidelity after "
+                "%zu round(s), %lld work repetition(s), stop: %s\n",
+                result.fullFidelityVariants, result.generated,
+                result.rounds.size(), result.workRepetitions,
+                result.stopReason.c_str());
   }
 
   int failures = 0, skipped = 0;
-  for (const launcher::VariantResult& r : results) {
+  for (const launcher::VariantResult& r : result.results) {
     if (r.status == "skipped") {
       ++skipped;
     } else if (r.status != "ok") {
       ++failures;
     }
   }
-  if (!options.csvOutput.empty()) {
+  if (toFile) {
     std::printf("campaign: %zu variant(s), %d skipped (resumed or failed "
                 "verification), %d failed\n",
-                results.size(), skipped, failures);
+                result.results.size(), skipped, failures);
   }
   if (failures > 0) {
     log::warn(std::to_string(failures) + " of " +
-              std::to_string(results.size()) + " variants did not complete");
+              std::to_string(result.results.size()) +
+              " variants did not complete");
   }
   return 0;
 }
 
-void emitCsv(const LauncherOptions& options, const csv::Table& table) {
-  if (options.csvOutput.empty()) {
+void emitCsv(const CampaignFlags& flags, const csv::Table& table) {
+  if (flags.csvPath.empty()) {
     table.write(std::cout);
     return;
   }
-  std::ofstream out(options.csvOutput, std::ios::binary);
-  if (!out) throw McError("cannot write CSV file: " + options.csvOutput);
+  std::ofstream out(flags.csvPath, std::ios::binary);
+  if (!out) throw McError("cannot write CSV file: " + flags.csvPath);
   table.write(out);
 }
 
@@ -268,7 +170,9 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
     LauncherOptions options = launcher::optionsFromParser(parser);
-    if (options.verbose) log::setLevel(log::Level::Info);
+    CampaignFlags flags = launcher::campaignFlagsFrom(parser);
+    if (flags.verbose) log::setLevel(log::Level::Info);
+    tools::bindNativeBackend(flags);
 
     if (options.listArch) {
       for (const launcher::ArchEntry& entry : launcher::table1()) {
@@ -282,16 +186,16 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (!options.standaloneProgram.empty()) return runStandalone(options);
-    if (!options.campaignDir.empty()) return runCampaign(options);
+    if (!options.campaignDir.empty()) return runCampaign(options, flags);
     if (options.inputFile.empty()) {
       std::fprintf(stderr, "error: no --input kernel (see --help)\n");
       return 2;
     }
 
-    launcher::MicroLauncher ml(makeBackend(options));
+    launcher::MicroLauncher ml(launcher::sweepBackendFactory(flags.sweep)(0));
     auto kernel = loadKernel(ml.backend(), options);
-    launcher::KernelRequest request = options.toRequest();
-    launcher::ProtocolOptions protocol = options.toProtocol();
+    launcher::KernelRequest request = toRequest(options, flags);
+    const launcher::ProtocolOptions& protocol = flags.sweep.campaign.protocol;
 
     if (options.useOpenMp) {
       launcher::InvokeResult r = ml.openmp(*kernel, request, options.threads,
@@ -306,7 +210,7 @@ int main(int argc, char** argv) {
           .add(r.iterations ? r.tscCycles / static_cast<double>(r.iterations)
                             : 0.0)
           .commit();
-      emitCsv(options, table);
+      emitCsv(flags, table);
       return 0;
     }
 
@@ -329,7 +233,7 @@ int main(int argc, char** argv) {
                      : 0.0)
             .commit();
       }
-      emitCsv(options, table);
+      emitCsv(flags, table);
       return 0;
     }
 
@@ -354,7 +258,7 @@ int main(int argc, char** argv) {
             .add(sample.measurement.cyclesPerIteration.max)
             .commit();
       }
-      emitCsv(options, table);
+      emitCsv(flags, table);
       return 0;
     }
 
@@ -362,9 +266,9 @@ int main(int argc, char** argv) {
     if (options.reportFullKernelTime) {
       csv::Table table({"configuration", "total_tsc_cycles"});
       table.beginRow().add(options.inputFile).add(m.totalCycles, 0).commit();
-      emitCsv(options, table);
+      emitCsv(flags, table);
     } else {
-      emitCsv(options, launcher::MicroLauncher::toCsv(
+      emitCsv(flags, launcher::MicroLauncher::toCsv(
                            {{options.inputFile, m}}));
     }
     return 0;

@@ -14,18 +14,16 @@
 #include "creator/creator.hpp"
 #include "launcher/arch_registry.hpp"
 #include "launcher/bench_diff.hpp"
+#include "launcher/campaign_flags.hpp"
 #include "launcher/explore.hpp"
 #include "launcher/serve.hpp"
-#include "launcher/sim_backend.hpp"
-#include "native/compile.hpp"
-#include "native/native_backend.hpp"
 #include "support/cli.hpp"
-#include "support/envinfo.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 #include "verify/costmodel.hpp"
 #include "verify/stability.hpp"
+#include "tools/campaign_front.hpp"
 #include "verify/verify.hpp"
 
 using namespace microtools;
@@ -67,102 +65,21 @@ cli::Parser makeExploreParser() {
       "in-memory as one campaign, and reports the top-K fastest. A "
       "content-addressed cache skips every measurement already on disk.");
   parser.addString("input", "XML kernel description file");
-  parser.addString("backend", "Execution backend: sim|native", "sim");
-  parser.addString("arch", "Simulated machine (see microlauncher --list-arch)",
-                   "nehalem_x5650_2s");
-  parser.addDouble("core-ghz", "Override the core frequency (DVFS study)");
-  parser.addInt("jobs", "Parallel worker threads", 1);
-  parser.addInt("inner", "Inner repetitions per timed experiment", 8);
-  parser.addInt("outer", "Outer (stability) repetitions", 10);
-  parser.addFlag("no-warmup", "Skip the cache warm-up call");
-  parser.addFlag("no-overhead", "Do not subtract timer overhead");
-  parser.addDouble("max-cv",
-                   "Re-run a variant while its cycles/iteration CV exceeds "
-                   "this (0 disables)",
-                   0.05);
-  parser.addInt("max-repetitions",
-                "Total outer-repetition budget per variant", 40);
-  parser.addInt("variant-timeout-ms",
-                "Per-variant wall-clock budget (0 = none)", 0);
-  parser.addInt("compile-jobs",
-                "Compile-pipeline producer threads that batch-compile "
-                "variants ahead of the measurement workers (native backend; "
-                "0 = compile inline, as --connect always does)",
-                0);
-  parser.addInt("compile-batch",
-                "Variants grouped into one compiler invocation", 8);
-  parser.addString("compile-cache-dir",
-                   "Persistent .so compile cache for the native backend "
-                   "(default: <--cache>/so; --no-cache disables unless set "
-                   "explicitly)");
   parser.addInt("nbvectors",
                 "Arrays passed to the kernel (0 = derive from the generated "
                 "programs)",
                 0);
-  parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
-  parser.addInt("alignment", "Array base alignment in bytes", 4096);
-  parser.addInt("align-offset", "Extra offset added to each array base", 0);
-  parser.addInt("element-bytes",
-                "Bytes per array element (4 = float, 8 = double)", 4);
-  parser.addInt("n", "Kernel trip count (default: first array's elements)");
   parser.addInt("max", "Override <maximum_benchmarks>");
   parser.addInt("seed", "Override <seed>");
-  parser.addString("search",
-                   "Variant-space walk: full measures every variant at the "
-                   "baseline protocol; halving screens everything cheaply, "
-                   "keeps the best half per round, and finishes the "
-                   "survivors at full fidelity",
-                   "full");
-  parser.addString("budget",
-                   "Halving search budget: '<seconds>s' wall-clock (e.g. "
-                   "30s) or a count of fresh variant measurements (cache "
-                   "hits are free); on exhaustion the best-so-far ranking "
-                   "is reported");
-  parser.addInt("screen-reps",
-                "Halving: outer repetitions of the round-0 screening pass",
-                1);
-  parser.addInt("stable-screen-reps",
-                "Halving: screening repetitions for variants the static "
-                "stability analysis proves tight (regular L1-resident loop, "
-                "no loop-carried load); only applies when below "
-                "--screen-reps",
-                1);
-  parser.addFlag("no-predict",
-                 "Disable the static cost model: no pred_cpi_lo/pred_bound "
-                 "CSV columns, no predicted screening order, no "
-                 "stability-reduced screening repetitions");
   parser.addString("cache", "Measurement cache directory",
                    ".microtools-cache");
   parser.addFlag("no-cache", "Disable the measurement cache");
   parser.addFlag("sim-exact",
                  "Force full cycle simulation of every invoke (no "
                  "warm-invoke memoization); bit-identical, only slower");
-  parser.addString("verify",
-                   "Static pre-flight verification of generated variants — "
-                   "strict skips variants with error-level diagnostics "
-                   "before they can crash the campaign; warn only annotates "
-                   "the CSV; off disables the check",
-                   "strict");
-  parser.addFlag("no-perf-counters",
-                 "Do not open perf_event counter groups around native "
-                 "kernel calls (rdtsc timing only; counter-derived CSV "
-                 "columns stay empty)");
   parser.addInt("top", "Rank the K best variants (0 = all)", 10);
-  parser.addString("csv",
-                   "Stream the full campaign CSV to this file (append-safe; "
-                   "variants already terminal in the file are resumed, not "
-                   "re-measured or re-appended)");
   parser.addString("report", "Write the ranked report here instead of stdout");
-  parser.addString("connect",
-                   "Shard this campaign against a `microtools serve` daemon "
-                   "at host:port or unix:/path — the daemon owns the "
-                   "measurement cache and hands out work leases, so several "
-                   "workers split one campaign without duplicating "
-                   "measurements (full sweeps only)");
-  parser.addString("worker-name",
-                   "Name reported in the daemon's telemetry (default: the "
-                   "worker's pid)");
-  parser.addFlag("verbose", "Enable info logging");
+  launcher::addCampaignFlags(parser);
   return parser;
 }
 
@@ -171,7 +88,8 @@ int runExploreCommand(int argc, char** argv) {
   cli::Parser parser = makeExploreParser();
   if (!parser.parse(argc, argv)) return 0;  // --help handled
 
-  launcher::ExploreOptions options;
+  launcher::CampaignFlags flags = launcher::campaignFlagsFrom(parser);
+  launcher::ExploreOptions& options = flags.sweep;
   if (parser.has("input")) {
     options.descriptionFile = parser.getString("input");
   } else if (!parser.positional().empty()) {
@@ -180,39 +98,7 @@ int runExploreCommand(int argc, char** argv) {
     std::fprintf(stderr, "error: no kernel description (see --help)\n");
     return 2;
   }
-  options.backend = parser.getString("backend");
-  options.arch = parser.getString("arch");
-  if (parser.has("core-ghz")) options.coreGHz = parser.getDouble("core-ghz");
-  options.campaign.jobs = static_cast<int>(parser.getInt("jobs"));
-  options.campaign.protocol.innerRepetitions =
-      static_cast<int>(parser.getInt("inner"));
-  options.campaign.protocol.outerRepetitions =
-      static_cast<int>(parser.getInt("outer"));
-  options.campaign.protocol.warmup = !parser.getFlag("no-warmup");
-  options.campaign.protocol.subtractOverhead = !parser.getFlag("no-overhead");
-  options.campaign.maxCv = parser.getDouble("max-cv");
-  options.campaign.maxRepetitions =
-      static_cast<int>(parser.getInt("max-repetitions"));
-  options.campaign.variantTimeoutMs =
-      static_cast<int>(parser.getInt("variant-timeout-ms"));
-  options.campaign.compileJobs =
-      static_cast<int>(parser.getInt("compile-jobs"));
-  options.campaign.compileBatch =
-      static_cast<int>(parser.getInt("compile-batch"));
-  options.campaign.pinWorkers = options.backend == "native";
-  options.campaign.verify =
-      launcher::verifyModeFromName(parser.getString("verify"));
   options.nbVectors = static_cast<int>(parser.getInt("nbvectors"));
-  options.arrayBytes =
-      static_cast<std::uint64_t>(parser.getInt("array-bytes"));
-  options.alignment = static_cast<std::uint64_t>(parser.getInt("alignment"));
-  options.alignOffset =
-      static_cast<std::uint64_t>(parser.getInt("align-offset"));
-  options.elementBytes =
-      static_cast<std::uint64_t>(parser.getInt("element-bytes"));
-  if (parser.has("n")) {
-    options.tripCount = static_cast<int>(parser.getInt("n"));
-  }
   if (parser.has("max")) {
     options.maxVariants = static_cast<std::size_t>(parser.getInt("max"));
   }
@@ -222,72 +108,15 @@ int runExploreCommand(int argc, char** argv) {
   options.cacheDir = parser.getString("cache");
   options.useCache = !parser.getFlag("no-cache");
   options.simExact = parser.getFlag("sim-exact");
-  options.search = launcher::searchModeFromName(parser.getString("search"));
-  if (parser.has("budget")) {
-    options.planner.budget = launcher::parseBudget(parser.getString("budget"));
+  if (flags.verbose) log::setLevel(log::Level::Info);
+  // One --cache flag governs both caches: the compile cache defaults to a
+  // "so" subdirectory of the measurement cache, off under --no-cache.
+  if (!parser.has("compile-cache-dir") && options.useCache) {
+    flags.compileCacheDir = options.cacheDir + "/so";
   }
-  options.planner.screenRepetitions =
-      static_cast<int>(parser.getInt("screen-reps"));
-  options.planner.stableScreenRepetitions =
-      static_cast<int>(parser.getInt("stable-screen-reps"));
-  options.predict = !parser.getFlag("no-predict");
-  if (parser.has("connect")) {
-    options.connectAddr = parser.getString("connect");
-    if (parser.has("worker-name")) {
-      options.workerName = parser.getString("worker-name");
-    }
-  }
-  if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
-
-  if (options.backend == "native") {
-    // Compile cache: defaults to a "so" subdirectory of the measurement
-    // cache, so one --cache flag governs both; --no-cache turns it off
-    // unless the user asked for a compile cache dir explicitly.
-    std::string compileCacheDir;
-    if (parser.has("compile-cache-dir")) {
-      compileCacheDir = parser.getString("compile-cache-dir");
-    } else if (options.useCache) {
-      compileCacheDir = options.cacheDir + "/so";
-    }
-    bool perfCounters = !parser.getFlag("no-perf-counters");
-    options.backendFactory = [compileCacheDir, perfCounters](int) {
-      native::NativeBackendOptions nb;
-      nb.compileCacheDir = compileCacheDir;
-      nb.perfCounters = perfCounters;
-      return std::make_unique<native::NativeBackend>(std::move(nb));
-    };
-    options.backendId = "native";
-  } else if (options.backend != "sim") {
-    std::fprintf(stderr, "error: --backend must be sim or native\n");
-    return 2;
-  }
-
-  std::unique_ptr<launcher::CampaignCsvSink> sink;
-  if (parser.has("csv")) {
-    std::string csvPath = parser.getString("csv");
-    // Resume: variants already terminal in the file (ok rows, cache hits,
-    // verify-strict skips, errors) are skipped and NOT re-appended, so
-    // rerunning with the same --csv never grows the file. A halving search
-    // resumes per round instead — the planner reads the file itself, round
-    // by round, and backfills the skipped rows' metrics for ranking.
-    if (options.search == launcher::SearchMode::Halving) {
-      options.planner.resumeCsv = csvPath;
-    } else {
-      options.campaign.completed = launcher::readCompletedVariants(csvPath);
-    }
-    env::EnvSnapshot snapshot = env::captureEnv();
-    if (options.backend == "native") {
-      std::string identityCache;
-      if (parser.has("compile-cache-dir")) {
-        identityCache = parser.getString("compile-cache-dir");
-      } else if (options.useCache) {
-        identityCache = options.cacheDir + "/so";
-      }
-      snapshot.set("compiler", native::compilerIdentity(identityCache));
-    }
-    sink = std::make_unique<launcher::CampaignCsvSink>(
-        csvPath, env::toCsvComments(snapshot));
-  }
+  tools::bindNativeBackend(flags);
+  std::unique_ptr<launcher::CampaignCsvSink> sink =
+      tools::openCampaignCsv(flags);
 
   launcher::ExploreResult result =
       launcher::runExplore(options, sink.get());
@@ -358,12 +187,7 @@ cli::Parser makeLintParser() {
                 "Arrays passed to the kernel (0 = derive from the generated "
                 "program, or assume the SysV maximum for .s files)",
                 0);
-  parser.addInt("array-bytes", "Size of each array in bytes", 1 << 20);
-  parser.addInt("alignment", "Array base alignment in bytes", 4096);
-  parser.addInt("align-offset", "Extra offset added to each array base", 0);
-  parser.addInt("element-bytes",
-                "Bytes per array element (4 = float, 8 = double)", 4);
-  parser.addInt("n", "Kernel trip count (default: first array's elements)");
+  launcher::addGeometryFlags(parser);
   parser.addFlag("verbose", "Enable info logging");
   return parser;
 }
@@ -384,18 +208,13 @@ int runLintCommand(int argc, char** argv) {
   if (parser.getFlag("verbose")) log::setLevel(log::Level::Info);
 
   bool json = parser.getFlag("json");
-  auto arrayBytes = static_cast<std::size_t>(parser.getInt("array-bytes"));
-  auto alignment = static_cast<std::size_t>(parser.getInt("alignment"));
-  auto alignOffset = static_cast<std::size_t>(parser.getInt("align-offset"));
-  auto elementBytes = static_cast<std::size_t>(parser.getInt("element-bytes"));
+  launcher::KernelGeometry geometry = launcher::geometryFrom(parser);
   int nbVectors = static_cast<int>(parser.getInt("nbvectors"));
-  if (elementBytes == 0) {
-    std::fprintf(stderr, "error: --element-bytes must be > 0\n");
-    return 2;
-  }
   std::int64_t tripCount =
-      parser.has("n") ? static_cast<std::int64_t>(parser.getInt("n"))
-                      : static_cast<std::int64_t>(arrayBytes / elementBytes);
+      geometry.tripCount
+          ? *geometry.tripCount
+          : static_cast<std::int64_t>(geometry.arrayBytes /
+                                      geometry.elementBytes);
 
   std::size_t totalErrors = 0;
   std::size_t totalWarnings = 0;
@@ -411,8 +230,9 @@ int runLintCommand(int argc, char** argv) {
     context.tripCount = tripCount;
     int arrays = arrayCount > 0 ? arrayCount : 5;
     for (int i = 0; i < arrays; ++i) {
-      context.arrays.push_back(
-          verify::ArrayExtent{arrayBytes, alignment, alignOffset});
+      context.arrays.push_back(verify::ArrayExtent{geometry.arrayBytes,
+                                                   geometry.alignment,
+                                                   geometry.alignOffset});
     }
     options.context = std::move(context);
     verify::VerifyReport report = verify::verifyAssembly(asmText, options);

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "launcher/arch_registry.hpp"
+#include "launcher/campaign_flags.hpp"
 #include "launcher/launcher.hpp"
 #include "launcher/options.hpp"
 #include "launcher/sim_backend.hpp"
@@ -461,22 +462,23 @@ TEST(Options, ParserRoundTrip) {
        "--arch", "nehalem_x7550_4s", "--core-ghz", "1.6", "--openmp",
        "--threads", "8", "--no-warmup"}));
   LauncherOptions o = optionsFromParser(parser);
+  CampaignFlags shared = campaignFlagsFrom(parser);
   EXPECT_EQ(o.inputFile, "k.s");
   EXPECT_EQ(o.nbVectors, 3);
-  EXPECT_EQ(o.arrayBytes, 8192u);
-  EXPECT_EQ(o.alignment, 64u);
-  EXPECT_EQ(o.alignOffset, 16u);
-  EXPECT_EQ(o.innerRepetitions, 5);
-  EXPECT_EQ(o.outerRepetitions, 7);
+  EXPECT_EQ(shared.sweep.arrayBytes, 8192u);
+  EXPECT_EQ(shared.sweep.alignment, 64u);
+  EXPECT_EQ(shared.sweep.alignOffset, 16u);
+  EXPECT_EQ(shared.sweep.campaign.protocol.innerRepetitions, 5);
+  EXPECT_EQ(shared.sweep.campaign.protocol.outerRepetitions, 7);
   EXPECT_EQ(o.pinCore, 2);
   EXPECT_EQ(o.processes, 6);
   EXPECT_EQ(o.pinPolicy, "compact");
-  EXPECT_EQ(o.arch, "nehalem_x7550_4s");
-  ASSERT_TRUE(o.coreGHz);
-  EXPECT_DOUBLE_EQ(*o.coreGHz, 1.6);
+  EXPECT_EQ(shared.sweep.arch, "nehalem_x7550_4s");
+  ASSERT_TRUE(shared.sweep.coreGHz);
+  EXPECT_DOUBLE_EQ(*shared.sweep.coreGHz, 1.6);
   EXPECT_TRUE(o.useOpenMp);
   EXPECT_EQ(o.threads, 8);
-  EXPECT_TRUE(o.noWarmup);
+  EXPECT_FALSE(shared.sweep.campaign.protocol.warmup);  // --no-warmup
 }
 
 TEST(Options, LauncherHasAtLeastThirtyOptions) {
@@ -493,13 +495,11 @@ TEST(Options, LauncherHasAtLeastThirtyOptions) {
 }
 
 TEST(Options, DerivedRequest) {
-  LauncherOptions o;
-  o.nbVectors = 2;
-  o.arrayBytes = 8192;
-  o.arrayBytesPerVector = {4096};
-  o.alignment = 128;
-  o.alignOffset = 32;
-  KernelRequest r = o.toRequest();
+  KernelGeometry g;
+  g.arrayBytes = 8192;
+  g.alignment = 128;
+  g.alignOffset = 32;
+  KernelRequest r = buildRequest(g, 2, {4096});
   ASSERT_EQ(r.arrays.size(), 2u);
   EXPECT_EQ(r.arrays[0].bytes, 4096u);   // per-vector override
   EXPECT_EQ(r.arrays[1].bytes, 8192u);   // default
@@ -509,63 +509,77 @@ TEST(Options, DerivedRequest) {
 }
 
 TEST(Options, ExplicitTripCountWins) {
-  LauncherOptions o;
-  o.tripCount = 777;
-  EXPECT_EQ(o.effectiveTripCount(), 777);
+  KernelGeometry g;
+  g.tripCount = 777;
+  EXPECT_EQ(buildRequest(g, 1).n, 777);
 }
 
 TEST(Options, ElementBytesDrivesTripCountAndStride) {
   // The old code hard-coded 4-byte elements, a 2x trip-count error for
   // double-precision kernels.
-  LauncherOptions o;
-  o.arrayBytes = 8192;
-  o.elementBytes = 8;
-  EXPECT_EQ(o.effectiveTripCount(), 1024);
-  KernelRequest r = o.toRequest();
+  KernelGeometry g;
+  g.arrayBytes = 8192;
+  g.elementBytes = 8;
+  KernelRequest r = buildRequest(g, 1);
   EXPECT_EQ(r.n, 1024);
   EXPECT_EQ(r.chunkStrideBytes, 8u);
 
-  o.elementBytes = 4;
-  EXPECT_EQ(o.effectiveTripCount(), 2048);
-  EXPECT_EQ(o.toRequest().chunkStrideBytes, 4u);
+  g.elementBytes = 4;
+  EXPECT_EQ(buildRequest(g, 1).n, 2048);
+  EXPECT_EQ(buildRequest(g, 1).chunkStrideBytes, 4u);
 }
 
 TEST(Options, ElementBytesParsedAndValidated) {
   {
     cli::Parser p = makeLauncherParser();
     ASSERT_TRUE(p.parse({"--input", "k.s", "--element-bytes", "8"}));
-    EXPECT_EQ(optionsFromParser(p).elementBytes, 8u);
+    EXPECT_EQ(campaignFlagsFrom(p).sweep.elementBytes, 8u);
   }
   {
     cli::Parser p = makeLauncherParser();
     ASSERT_TRUE(p.parse({"--element-bytes", "0"}));
-    EXPECT_THROW(optionsFromParser(p), ParseError);
+    EXPECT_THROW(campaignFlagsFrom(p), ParseError);
   }
+}
+
+/// A parser holding only the shared campaign flags, as both campaign CLIs
+/// register them.
+cli::Parser campaignParser() {
+  cli::Parser parser("campaign");
+  addCampaignFlags(parser);
+  return parser;
 }
 
 TEST(Options, CampaignFlagsParsed) {
-  cli::Parser p = makeLauncherParser();
-  ASSERT_TRUE(p.parse({"--campaign", "/tmp/variants", "--jobs", "4",
-                       "--max-cv", "0.02", "--max-repetitions", "24",
-                       "--variant-timeout-ms", "500"}));
-  LauncherOptions o = optionsFromParser(p);
-  EXPECT_EQ(o.campaignDir, "/tmp/variants");
-  EXPECT_EQ(o.jobs, 4);
-  EXPECT_DOUBLE_EQ(o.maxCv, 0.02);
-  EXPECT_EQ(o.maxRepetitions, 24);
-  EXPECT_EQ(o.variantTimeoutMs, 500);
+  const std::vector<std::string> args = {
+      "--jobs", "4", "--max-cv", "0.02", "--max-repetitions", "24",
+      "--variant-timeout-ms", "500"};
+  std::vector<std::string> launcherArgs = {"--campaign", "/tmp/variants"};
+  launcherArgs.insert(launcherArgs.end(), args.begin(), args.end());
+  cli::Parser launcher = makeLauncherParser();
+  ASSERT_TRUE(launcher.parse(launcherArgs));
+  EXPECT_EQ(optionsFromParser(launcher).campaignDir, "/tmp/variants");
+  cli::Parser shared = campaignParser();
+  ASSERT_TRUE(shared.parse(args));
+  for (const cli::Parser* p : {&launcher, &shared}) {
+    CampaignOptions c = campaignFlagsFrom(*p).sweep.campaign;
+    EXPECT_EQ(c.jobs, 4);
+    EXPECT_DOUBLE_EQ(c.maxCv, 0.02);
+    EXPECT_EQ(c.maxRepetitions, 24);
+    EXPECT_EQ(c.variantTimeoutMs, 500);
+  }
 }
 
 TEST(Options, CampaignFlagsValidated) {
-  {
-    cli::Parser p = makeLauncherParser();
-    ASSERT_TRUE(p.parse({"--jobs", "0"}));
-    EXPECT_THROW(optionsFromParser(p), ParseError);
-  }
-  {
-    cli::Parser p = makeLauncherParser();
-    ASSERT_TRUE(p.parse({"--variant-timeout-ms", "-1"}));
-    EXPECT_THROW(optionsFromParser(p), ParseError);
+  const std::vector<std::vector<std::string>> invalid = {
+      {"--jobs", "0"},          {"--variant-timeout-ms", "-1"},
+      {"--compile-batch", "0"}, {"--verify", "bogus"},
+      {"--search", "bogus"},    {"--budget", "soon"}};
+  for (const std::vector<std::string>& args : invalid) {
+    for (cli::Parser p : {makeLauncherParser(), campaignParser()}) {
+      ASSERT_TRUE(p.parse(args));
+      EXPECT_THROW(campaignFlagsFrom(p), ParseError) << args[0];
+    }
   }
 }
 
@@ -578,7 +592,7 @@ TEST(Options, InvalidCombinationsRejected) {
   {
     cli::Parser p = makeLauncherParser();
     ASSERT_TRUE(p.parse({"--backend", "gpu"}));
-    EXPECT_THROW(optionsFromParser(p), ParseError);
+    EXPECT_THROW(campaignFlagsFrom(p), ParseError);
   }
   {
     cli::Parser p = makeLauncherParser();

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -277,6 +278,79 @@ TEST_F(ToolsTest, LauncherCampaignResumeSkipsCompletedRows) {
             std::string::npos)
       << second.output;
   EXPECT_EQ(countLines(), linesAfterFirst);
+}
+
+TEST_F(ToolsTest, ExploreAndLauncherCampaignRejectBadFlagsAlike) {
+  // Both campaign CLIs read their shared flags through one validator, so
+  // a bad value fails the same way in each, before anything is measured.
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xmlPath_ +
+                " --output " + outDir_)
+                .exitCode,
+            0);
+  for (const char* flag :
+       {"--jobs 0", "--compile-batch 0", "--variant-timeout-ms -1",
+        "--verify bogus", "--search bogus"}) {
+    CommandResult explore =
+        run(std::string(MT_MICROTOOLS_PATH) + " explore " + xmlPath_ +
+            " --no-cache --array-bytes 16384 " + flag);
+    CommandResult launcher =
+        run(std::string(MT_MICROLAUNCHER_PATH) + " --campaign " + outDir_ +
+            " --array-bytes 16384 " + flag);
+    EXPECT_EQ(explore.exitCode, 1) << flag << ": " << explore.output;
+    EXPECT_EQ(launcher.exitCode, 1) << flag << ": " << launcher.output;
+    std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
+    EXPECT_EQ(explore.output.rfind("error: " + name + " must be", 0), 0u)
+        << explore.output;
+    EXPECT_EQ(explore.output, launcher.output) << flag;
+  }
+}
+
+/// The `#` preamble and the data rows (sorted) of a campaign CSV.
+struct CampaignCsv {
+  std::vector<std::string> preamble;
+  std::vector<std::string> rows;
+};
+
+CampaignCsv readCampaignCsv(const std::string& path) {
+  CampaignCsv csv;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    // The load average is sampled live, so it may move between two runs.
+    if (line.rfind("# env.loadavg=", 0) == 0) line = "# env.loadavg=";
+    (line.rfind('#', 0) == 0 ? csv.preamble : csv.rows).push_back(line);
+  }
+  std::sort(csv.rows.begin(), csv.rows.end());
+  return csv;
+}
+
+TEST_F(ToolsTest, LauncherCampaignAndExploreWriteTheSameCsv) {
+  // `microlauncher --campaign` over MicroCreator's files and `microtools
+  // explore` over the description they came from run one sweep driver.
+  std::string xml = std::string(MT_EXAMPLES_DIR) + "/loadstore_small.xml";
+  ASSERT_EQ(run(std::string(MT_MICROCREATOR_PATH) + " " + xml +
+                " --output " + outDir_)
+                .exitCode,
+            0);
+  std::string dir = uniqueTempDir("tools_parity");
+  std::string common =
+      " --jobs 1 --array-bytes 16384 --nbvectors 2 --inner 1 --outer 3 "
+      "--csv ";
+  CommandResult launcher =
+      run(std::string(MT_MICROLAUNCHER_PATH) + " --campaign " + outDir_ +
+          common + dir + "/launcher.csv");
+  ASSERT_EQ(launcher.exitCode, 0) << launcher.output;
+  CommandResult explore = run(std::string(MT_MICROTOOLS_PATH) + " explore " +
+                              xml + " --no-cache" + common + dir +
+                              "/explore.csv");
+  ASSERT_EQ(explore.exitCode, 0) << explore.output;
+
+  CampaignCsv a = readCampaignCsv(dir + "/launcher.csv");
+  CampaignCsv b = readCampaignCsv(dir + "/explore.csv");
+  EXPECT_FALSE(a.preamble.empty());
+  EXPECT_EQ(a.preamble, b.preamble);
+  EXPECT_EQ(a.rows.size(), 5u);  // header + 4 variants
+  EXPECT_EQ(a.rows, b.rows);
 }
 
 TEST_F(ToolsTest, ExploreSecondRunIsFullyCached) {
